@@ -37,4 +37,16 @@ echo "regenerating golden stats:"
 gen health baseline health_baseline.json
 gen mst cdp+throttle mst_cdp_throttle.json
 gen bisort full bisort_full.json
+gen mst noprefetch mst_noprefetch.json
+gen bisort cdp bisort_cdp.json
+gen bisort ecdp bisort_ecdp.json
+gen bisort dbp bisort_dbp.json
+gen bisort markov bisort_markov.json
+gen health ghb health_ghb.json
+gen health ghb+ecdp health_ghb_ecdp.json
+gen mst cdp+filter mst_cdp_filter.json
+gen bisort ecdp+fdp bisort_ecdp_fdp.json
+gen bisort cdp+pab bisort_cdp_pab.json
+gen perimeter grp perimeter_grp.json
+gen health ideal-lds health_ideal_lds.json
 echo "done — review the diff before committing."
