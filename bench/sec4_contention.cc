@@ -37,7 +37,7 @@ main()
     // Stream alone, CDP alone, and the naive hybrid.
     NamedConfig stream_only = cfgBaseline();
     SystemConfig cdp_only_cfg = configs::streamCdp();
-    cdp_only_cfg.primary = PrimaryKind::None;
+    cdp_only_cfg.engines[0] = "none";
     NamedConfig cdp_only = fixedConfig("cdponly", cdp_only_cfg);
     NamedConfig hybrid = cfgCdp();
     runGrid(ctx, names, {stream_only, cdp_only, hybrid});

@@ -1,6 +1,8 @@
 #include "compiler/profiling_compiler.hh"
 
+#include <algorithm>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -19,11 +21,14 @@ ProfilingCompiler::profileWithInformingLoads(const Workload &train,
     // system's per-PG bookkeeping plays the role of the informing
     // loads, reporting for every load whether it consumed a
     // prefetched block.
-    target.lds = LdsKind::Cdp;
+    std::vector<std::string> stack = engineStack(target);
+    stack.resize(std::max<std::size_t>(stack.size(), 2), "none");
+    stack[1] = "cdp";
+    target.engines = std::move(stack);
     target.hints = nullptr;
     target.hwFilter = false;
     target.grpCoarse = false;
-    target.throttle = ThrottleKind::None;
+    target.throttlePolicy = "static";
     target.idealLds = false;
     target.idealNoPollution = false;
     RunStats stats = simulate(target, train);

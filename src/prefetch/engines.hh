@@ -21,10 +21,8 @@
 namespace ecdp
 {
 
-/** Empty stack slot: never prefetches. Legacy two-slot configurations
- *  with PrimaryKind::None / LdsKind::None derive to this engine so the
- *  slot still owns a feedback lane (an idle lane reports accuracy 1.0,
- *  exactly as before the registry). */
+/** Empty stack slot: never prefetches. The slot still owns a feedback
+ *  lane, which reports accuracy 1.0 while idle. */
 class NullEngine final : public PrefetchEngine
 {
   public:

@@ -37,8 +37,10 @@ class ResultCache
     /** Cache format version; readers reject anything else.
      *  v2 added the per-interval feedback series (intervalSeries);
      *  v3 added per-engine-slot totals (engineStats) and the extra
-     *  interval slots of N-engine stacks. */
-    static constexpr int kVersion = 3;
+     *  interval slots of N-engine stacks; v4 keys entries by the
+     *  configHash() that hashes the engine stack, the throttle
+     *  policy and its seed for every config. */
+    static constexpr int kVersion = 4;
 
     /**
      * Cache configured by ECDP_RESULT_CACHE, or nullptr when the

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -27,6 +28,40 @@ hexKey(std::uint64_t key)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(key));
     return buf;
+}
+
+/**
+ * Whole content of @p path, or nullopt when it cannot be read. Spill
+ * files open close-on-exec (the "e" mode), so a worker forked
+ * meanwhile cannot inherit the descriptor.
+ */
+std::optional<std::string>
+readFile(const std::string &path)
+{
+    std::unique_ptr<std::FILE, int (*)(std::FILE *)> f(
+        std::fopen(path.c_str(), "rbe"), &std::fclose);
+    if (!f)
+        return std::nullopt;
+    std::string data;
+    char buf[1 << 16];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0)
+        data.append(buf, n);
+    if (std::ferror(f.get()))
+        return std::nullopt;
+    return data;
+}
+
+/** Create or truncate @p path close-on-exec and write @p data. */
+bool
+writeFile(const std::string &path, const std::string &data)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wbe");
+    if (!f)
+        return false;
+    const bool written =
+        std::fwrite(data.data(), 1, data.size(), f) == data.size();
+    return std::fclose(f) == 0 && written;
 }
 
 } // namespace
@@ -266,8 +301,8 @@ ResultStore::loadFromDisk(std::uint64_t key)
     if (dir_.empty())
         return nullptr;
     const std::string path = dir_ + "/" + entryFileName(key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::optional<std::string> file = readFile(path);
+    if (!file)
         return nullptr; // plain miss
 
     // Entry layout: one JSON header line carrying the key and the
@@ -278,7 +313,6 @@ ResultStore::loadFromDisk(std::uint64_t key)
         std::cerr << "ecdpd: result store: corrupt entry " << path
                   << " (" << why << "); removing and rebuilding\n";
         corruptRebuilds_.fetch_add(1);
-        in.close();
         std::error_code ec;
         std::filesystem::remove(path, ec);
         // The file is gone; drop it from the disk-cap bookkeeping
@@ -293,27 +327,27 @@ ResultStore::loadFromDisk(std::uint64_t key)
         return nullptr;
     };
 
-    std::string header;
-    if (!std::getline(in, header))
+    if (file->empty())
         return corrupt("empty file");
-    std::optional<JsonValue> parsed = tryParseJson(header);
+    const std::size_t eol = std::min(file->find('\n'), file->size());
+    std::optional<JsonValue> parsed =
+        tryParseJson(file->substr(0, eol));
     if (!parsed)
         return corrupt("unparsable header");
     std::string payload;
     try {
-        if (parsed->at("version").asI64() != 1)
+        if (parsed->at("version").asI64() != kSpillVersion)
             return corrupt("unknown version");
         if (parsed->at("key").asString() != hexKey(key))
             return corrupt("key mismatch");
-        std::uint64_t length = parsed->at("bytes").asU64();
-        payload.resize(length);
-        in.read(payload.data(),
-                static_cast<std::streamsize>(length));
-        if (static_cast<std::uint64_t>(in.gcount()) != length)
+        const std::uint64_t length = parsed->at("bytes").asU64();
+        const std::size_t body = std::min(eol + 1, file->size());
+        if (file->size() - body < length)
             return corrupt("truncated payload");
         // Exactly the framed bytes and nothing more.
-        if (in.peek() != std::char_traits<char>::eof())
+        if (file->size() - body > length)
             return corrupt("trailing bytes");
+        payload = file->substr(body);
     } catch (const JsonError &e) {
         return corrupt(e.what());
     }
@@ -341,15 +375,12 @@ ResultStore::spillToDisk(std::uint64_t key, const std::string &bytes)
     std::ostringstream id;
     id << std::hash<std::thread::id>{}(std::this_thread::get_id());
     const std::string tmp = path + ".tmp." + id.str();
-    {
-        std::ofstream os(tmp, std::ios::binary);
-        if (!os)
-            return;
-        os << "{\"version\":1,\"key\":\"" << hexKey(key)
-           << "\",\"bytes\":" << bytes.size() << "}\n"
-           << bytes;
-        if (!os)
-            return;
+    std::ostringstream header;
+    header << "{\"version\":" << kSpillVersion << ",\"key\":\""
+           << hexKey(key) << "\",\"bytes\":" << bytes.size() << "}\n";
+    if (!writeFile(tmp, header.str() + bytes)) {
+        std::filesystem::remove(tmp, ec);
+        return;
     }
     // Atomic publish: concurrent daemons (or a reader mid-crash)
     // never observe a half-written entry.

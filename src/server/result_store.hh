@@ -141,6 +141,15 @@ class ResultStore
 
     static std::string entryFileName(std::uint64_t key);
 
+    /**
+     * Format version in every spill file's header. Files of another
+     * version are dropped on load and recomputed. Version 2: a cell
+     * naming a config whose throttle policy it overrides runs only
+     * the override (a "cdp+pab" cell with a throttlePolicy no longer
+     * keeps the PAB selector beside it).
+     */
+    static constexpr int kSpillVersion = 2;
+
   private:
     struct Flight
     {

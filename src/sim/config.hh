@@ -22,24 +22,9 @@
 namespace ecdp
 {
 
-/** Throttling policy of the hybrid prefetching system. */
-enum class ThrottleKind : std::uint8_t
-{
-    /** Fixed aggressiveness (Table 5 baseline). */
-    None,
-    /** The paper's coordinated throttling (Section 4). */
-    Coordinated,
-    /** Feedback-directed prefetching, individually (Section 6.5). */
-    Fdp,
-    /** Gendler-style keep-only-the-most-accurate (Section 7.4). */
-    Pab,
-};
-
-const char *throttleKindName(ThrottleKind kind);
-
 /**
  * Full system configuration. Defaults reproduce the paper's baseline:
- * an aggressive stream prefetcher, no LDS prefetcher, no throttling.
+ * an aggressive stream prefetcher, an empty LDS slot, no throttling.
  */
 struct SystemConfig
 {
@@ -63,15 +48,17 @@ struct SystemConfig
     DramParams dram{};
 
     /** @{ Prefetcher selection. */
-    PrimaryKind primary = PrimaryKind::Stream;
-    LdsKind lds = LdsKind::None;
     /**
-     * Explicit engine stack by registry name (e.g. {"stream", "cdp",
-     * "isb"}). When empty (the default), the stack derives from the
-     * legacy primary/lds pair above — see effectiveEngineStack().
+     * Engine stack by registry name (e.g. {"stream", "cdp", "isb"}).
+     * Empty, the default, runs the Table 5 baseline pair {"stream",
+     * "none"} (see engineStack()); a default config then allocates
+     * nothing, which keeps the heap layout, and with it the peak RSS,
+     * of a run the same as with the explicit pair.
      * Slot order matters: slot 0 keeps the "primary" counter scope and
      * start level, slot 1 "lds", and the order is part of
-     * configHash().
+     * configHash(). "none" fills an empty slot, so the paper's pair
+     * keeps both feedback lanes (an idle lane reports accuracy 1.0,
+     * which the PAB policy's tie-breaking depends on).
      */
     std::vector<std::string> engines;
     unsigned streamEntries = 32;
@@ -86,12 +73,11 @@ struct SystemConfig
     bool hwFilter = false;
     /** GRP-style coarse gating instead of per-PG hints (Sec 7.1). */
     bool grpCoarse = false;
-    /** Compiler hints (required for LdsKind::Ecdp; not owned). */
+    /** Compiler hints (required by the "ecdp" engine; not owned). */
     const HintTable *hints = nullptr;
     /** @} */
 
     /** @{ Throttling. */
-    ThrottleKind throttle = ThrottleKind::None;
     AggLevel primaryStartLevel = AggLevel::Aggressive;
     AggLevel ldsStartLevel = AggLevel::Aggressive;
     /** The paper uses 8192 L2 evictions per interval for 200M-
@@ -106,23 +92,16 @@ struct SystemConfig
      *  bench/ablation_thresholds sweeps the thresholds. */
     CoordinatedThrottler::Thresholds coordThresholds{0.3, 0.4, 0.7};
     FdpThrottler::Thresholds fdpThresholds{};
-    unsigned pabWindow = 64;
     /**
-     * Decision policy for the per-slot aggressiveness levels, by
-     * PolicyRegistry name ("static", "coordinated", "fdp",
-     * "tabular-rl"). Empty (the default) derives the policy from the
-     * ThrottleKind above — None/Pab -> "static", Coordinated ->
-     * "coordinated", Fdp -> "fdp" — reproducing the legacy rule
-     * dispatch byte-identically (see effectiveThrottlePolicy()). A
-     * non-empty name overrides the level rules for every kind; PAB's
-     * enable-bit selector still keys on the kind and runs alongside.
-     * Excluded from configHash() when default so pre-policy hashes
-     * (and with them memo/result-cache keys) are unchanged.
+     * Throttle policy by PolicyRegistry name: "static" (fixed
+     * aggressiveness), "coordinated" (Section 4), "fdp" (Section 6.5),
+     * "pab" (Section 7.4, keeps only the most accurate engine enabled)
+     * or "tabular-rl".
      */
-    std::string throttlePolicy;
+    std::string throttlePolicy = "static";
     /**
      * Exploration seed for randomized policies ("tabular-rl"), folded
-     * into configHash() together with the (non-default) policy name.
+     * into configHash() together with the policy name.
      * Policies derive all randomness from it — never from wall clock —
      * so equal seeds give byte-identical runs (enforced by the
      * seeded-determinism tests).
@@ -180,24 +159,9 @@ using PgStatsMap = std::unordered_map<PgId, PgStats, PgIdHash>;
  */
 std::uint64_t configHash(const SystemConfig &cfg);
 
-/**
- * The engine stack a configuration actually runs: cfg.engines when
- * non-empty, otherwise exactly two slots derived from the legacy
- * primary/lds kinds ("none" fills an empty slot so both legacy
- * feedback lanes keep existing — an idle lane reports accuracy 1.0,
- * which the PAB selector's tie-breaking depends on).
- */
-std::vector<std::string> effectiveEngineStack(const SystemConfig &cfg);
-
-/**
- * The PolicyRegistry name of the throttle policy a configuration
- * actually runs: cfg.throttlePolicy when non-empty, otherwise the
- * legacy ThrottleKind's rule set (None/Pab -> "static", Coordinated ->
- * "coordinated", Fdp -> "fdp"). Pab maps to "static" because PAB
- * selects enable bits rather than levels; its selector keys on the
- * kind and runs regardless of the level policy.
- */
-std::string effectiveThrottlePolicy(const SystemConfig &cfg);
+/** The engine stack @p cfg runs: cfg.engines, or the baseline pair
+ *  {"stream", "none"} when that is empty. */
+const std::vector<std::string> &engineStack(const SystemConfig &cfg);
 
 /**
  * Stats/counter instance name of each stack slot: slot 0 is always
@@ -208,13 +172,7 @@ std::string effectiveThrottlePolicy(const SystemConfig &cfg);
 std::vector<std::string>
 engineInstanceNames(const std::vector<std::string> &stack);
 
-/**
- * One feedback-interval boundary: the aged accuracy/coverage sample
- * the throttler saw and the throttling state after its decision was
- * applied. RunStats carries the full series so post-hoc tooling can
- * plot throttle-level timelines without re-running the simulation.
- */
-/** Feedback/throttle state of one engine-stack slot beyond the legacy
+/** Feedback/throttle state of one engine-stack slot beyond the first
  *  pair (IntervalSample::extra[i] describes stack slot i + 2). */
 struct EngineIntervalExtra
 {
@@ -224,6 +182,12 @@ struct EngineIntervalExtra
     bool enabled = true;
 };
 
+/**
+ * One feedback-interval boundary: the aged accuracy/coverage sample
+ * the throttler saw and the throttling state after its decision was
+ * applied. RunStats carries the full series so post-hoc tooling can
+ * plot throttle-level timelines without re-running the simulation.
+ */
 struct IntervalSample
 {
     /** Cycle at which the interval ended. */
@@ -236,7 +200,7 @@ struct IntervalSample
     AggLevel ldsLevel = AggLevel::Aggressive;
     bool primaryEnabled = true;
     bool ldsEnabled = true;
-    /** Slots 2.. of an N-engine stack (empty for legacy pairs). */
+    /** Slots 2.. of an N-engine stack (empty for two-slot stacks). */
     std::vector<EngineIntervalExtra> extra;
     /** Raw JSON blob of per-interval policy state (tabular-rl action
      *  trace); empty — and omitted from the stats JSON — for the
@@ -289,7 +253,7 @@ struct RunStats
      *  completed interval, in order). */
     std::vector<IntervalSample> intervalSeries;
 
-    /** @{ Throttle policy of the run (effectiveThrottlePolicy()) and
+    /** @{ Throttle policy of the run (SystemConfig::throttlePolicy) and
      *  its final serialized state. Emitted to the stats JSON only
      *  when the state blob is non-empty — the built-in rule policies
      *  serialize nothing, so default runs stay byte-identical to the

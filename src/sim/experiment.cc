@@ -15,33 +15,29 @@ SystemConfig
 noPrefetch()
 {
     SystemConfig cfg;
-    cfg.primary = PrimaryKind::None;
-    cfg.lds = LdsKind::None;
+    cfg.engines = {"none", "none"};
     return cfg;
 }
 
 SystemConfig
 baseline()
 {
-    SystemConfig cfg;
-    cfg.primary = PrimaryKind::Stream;
-    cfg.lds = LdsKind::None;
-    return cfg;
+    return SystemConfig{};
 }
 
 SystemConfig
 streamCdp()
 {
-    SystemConfig cfg = baseline();
-    cfg.lds = LdsKind::Cdp;
+    SystemConfig cfg;
+    cfg.engines = {"stream", "cdp"};
     return cfg;
 }
 
 SystemConfig
 streamEcdp(const HintTable *hints)
 {
-    SystemConfig cfg = baseline();
-    cfg.lds = LdsKind::Ecdp;
+    SystemConfig cfg;
+    cfg.engines = {"stream", "ecdp"};
     cfg.hints = hints;
     return cfg;
 }
@@ -50,7 +46,7 @@ SystemConfig
 streamCdpThrottled()
 {
     SystemConfig cfg = streamCdp();
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
@@ -58,23 +54,23 @@ SystemConfig
 fullProposal(const HintTable *hints)
 {
     SystemConfig cfg = streamEcdp(hints);
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
 SystemConfig
 streamDbp()
 {
-    SystemConfig cfg = baseline();
-    cfg.lds = LdsKind::Dbp;
+    SystemConfig cfg;
+    cfg.engines = {"stream", "dbp"};
     return cfg;
 }
 
 SystemConfig
 streamMarkov()
 {
-    SystemConfig cfg = baseline();
-    cfg.lds = LdsKind::Markov;
+    SystemConfig cfg;
+    cfg.engines = {"stream", "markov"};
     return cfg;
 }
 
@@ -82,19 +78,18 @@ SystemConfig
 ghbAlone()
 {
     SystemConfig cfg;
-    cfg.primary = PrimaryKind::Ghb;
-    cfg.lds = LdsKind::None;
+    cfg.engines = {"ghb", "none"};
     return cfg;
 }
 
 SystemConfig
 ghbEcdp(const HintTable *hints, bool throttled)
 {
-    SystemConfig cfg = ghbAlone();
-    cfg.lds = LdsKind::Ecdp;
+    SystemConfig cfg;
+    cfg.engines = {"ghb", "ecdp"};
     cfg.hints = hints;
     if (throttled)
-        cfg.throttle = ThrottleKind::Coordinated;
+        cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
@@ -104,7 +99,7 @@ streamCdpHwFilter(bool throttled)
     SystemConfig cfg = streamCdp();
     cfg.hwFilter = true;
     if (throttled)
-        cfg.throttle = ThrottleKind::Coordinated;
+        cfg.throttlePolicy = "coordinated";
     return cfg;
 }
 
@@ -112,7 +107,7 @@ SystemConfig
 streamEcdpFdp(const HintTable *hints)
 {
     SystemConfig cfg = streamEcdp(hints);
-    cfg.throttle = ThrottleKind::Fdp;
+    cfg.throttlePolicy = "fdp";
     return cfg;
 }
 
@@ -120,7 +115,7 @@ SystemConfig
 streamCdpPab()
 {
     SystemConfig cfg = streamCdp();
-    cfg.throttle = ThrottleKind::Pab;
+    cfg.throttlePolicy = "pab";
     return cfg;
 }
 
@@ -135,7 +130,7 @@ streamGrpCoarse(const HintTable *hints)
 SystemConfig
 idealLds()
 {
-    SystemConfig cfg = baseline();
+    SystemConfig cfg;
     cfg.idealLds = true;
     return cfg;
 }

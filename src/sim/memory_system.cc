@@ -8,15 +8,30 @@
 namespace ecdp
 {
 
+namespace
+{
+
+/** @p cfg running engineStack(cfg) explicitly. */
+SystemConfig
+withExplicitStack(const SystemConfig &cfg)
+{
+    if (!cfg.engines.empty())
+        return cfg;
+    SystemConfig out = cfg;
+    out.engines = engineStack(cfg);
+    return out;
+}
+
+} // namespace
+
 MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
                            SimMemory image, DramSystem *dram,
                            const Observability *obs)
-    : cfg_(cfg),
+    : cfg_(withExplicitStack(cfg)),
       coreId_(core_id),
       image_(std::move(image)),
       dram_(dram),
-      stackNames_(effectiveEngineStack(cfg)),
-      instanceNames_(engineInstanceNames(stackNames_)),
+      instanceNames_(engineInstanceNames(cfg_.engines)),
       ownedMetrics_(obs && obs->metrics
                         ? nullptr
                         : std::make_unique<obs::MetricRegistry>()),
@@ -27,24 +42,23 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
       l1_("L1D", cfg.l1Bytes, cfg.l1Assoc, cfg.l1BlockBytes),
       l2_("L2", cfg.l2Bytes, cfg.l2Assoc, cfg.l2BlockBytes),
       mshrs_(cfg.l2Mshrs),
-      pab_(cfg.pabWindow,
-           static_cast<unsigned>(stackNames_.size())),
-      policyName_(effectiveThrottlePolicy(cfg)),
       blockBuf_(cfg.l2BlockBytes, 0)
 {
     assert(dram_);
-    assert(!stackNames_.empty());
+    assert(!cfg_.engines.empty());
 
     PolicyContext pctx;
     pctx.coord = cfg_.coordThresholds;
     pctx.fdp = cfg_.fdpThresholds;
+    pctx.slots = cfg_.engines.size();
     // Decorrelate per-core exploration streams in multi-core runs
     // without adding a per-core config knob (core 0 keeps the plain
     // seed's stream only up to the constructor's remapping).
     pctx.seed = cfg_.throttleRlSeed +
                 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(
                                             core_id);
-    policy_ = PolicyRegistry::instance().create(policyName_, pctx);
+    policy_ =
+        PolicyRegistry::instance().create(cfg_.throttlePolicy, pctx);
 
     EngineContext ectx;
     ectx.geom = l2_.geom();
@@ -54,8 +68,8 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
     ectx.hints = cfg_.hints;
 
     EngineRegistry &registry = EngineRegistry::instance();
-    engines_.reserve(stackNames_.size());
-    for (const std::string &name : stackNames_)
+    engines_.reserve(cfg_.engines.size());
+    for (const std::string &name : cfg_.engines)
         engines_.push_back(registry.create(name, ectx));
 
     const std::size_t n = engines_.size();
@@ -73,10 +87,8 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
     pollutionEvents_.resize(n);
     pollutionFilter_.assign(
         n, PollutionFilter(cfg_.fdpThresholds.pollutionFilterEntries));
-    levels_.assign(n, AggLevel::Aggressive);
-    levels_[0] = cfg_.primaryStartLevel;
-    if (n > 1)
-        levels_[1] = cfg_.ldsStartLevel;
+    levels_.resize(n);
+    applyStartLevels();
     enabled_.assign(n, 1);
     monitors_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -87,8 +99,6 @@ MemorySystem::MemorySystem(const SystemConfig &cfg, unsigned core_id,
         hwFilter_ = std::make_unique<HardwareFilter>();
     pf_.resize(n);
     bindCounters();
-    for (std::size_t i = 0; i < n; ++i)
-        applyLevel(i, levels_[i]);
 }
 
 void
@@ -120,7 +130,7 @@ MemorySystem::bindCounters()
     // additionally binds its private counters (Q-table visits,
     // explorations, ...) in the same scope.
     obs::MetricScope throttle =
-        core.scope("throttle." + policyName_ + ".");
+        core.scope("throttle." + cfg_.throttlePolicy + ".");
     throttleIntervalsCtr_ = &throttle.counter("intervals");
     throttleUpCtr_ = &throttle.counter("decisions.up");
     throttleDownCtr_ = &throttle.counter("decisions.down");
@@ -200,10 +210,13 @@ MemorySystem::applyLevel(std::size_t which, AggLevel level)
 }
 
 void
-MemorySystem::pabRecord(std::size_t which, bool used)
+MemorySystem::applyStartLevels()
 {
-    if (cfg_.throttle == ThrottleKind::Pab)
-        pab_.recordOutcome(static_cast<unsigned>(which), used);
+    for (std::size_t i = 0; i < engines_.size(); ++i) {
+        applyLevel(i, i == 0   ? cfg_.primaryStartLevel
+                      : i == 1 ? cfg_.ldsStartLevel
+                               : AggLevel::Aggressive);
+    }
 }
 
 void
@@ -265,7 +278,7 @@ MemorySystem::onDemandUseOfPrefetch(CacheBlock *block, Addr block_addr,
     pf_[owner].usefulLatencyCount->inc();
     if (block->pgValid)
         ++pgStats_[block->pg].used;
-    pabRecord(owner, true);
+    policy_->onPrefetchOutcome(owner, true);
     if (hwFilter_ && ldsClass_[owner])
         hwFilter_->onPrefetchUsed(l2_.geom().blockOf(block_addr));
     if (enabled_[owner]) {
@@ -560,7 +573,7 @@ MemorySystem::handleVictim(const Cache::Victim &victim,
     if (victim.prefetchOwner != kNoPrefetchOwner) {
         const std::uint8_t owner = victim.prefetchOwner;
         pf_[owner].evictedUnused->inc();
-        pabRecord(owner, false);
+        policy_->onPrefetchOutcome(owner, false);
         if (hwFilter_ && ldsClass_[owner])
             hwFilter_->onPrefetchEvictedUnused(
                 l2_.geom().blockOf(victim.addr));
@@ -633,7 +646,7 @@ MemorySystem::installFill(Mshr &mshr, Cycle now)
                 pf_[owner].consumedLate->inc();
                 if (mshr.pgRootValid)
                     ++pgStats_[mshr.pgRoot].used;
-                pabRecord(owner, true);
+                policy_->onPrefetchOutcome(owner, true);
                 if (hwFilter_ && ldsClass_[owner])
                     hwFilter_->onPrefetchUsed(
                         l2_.geom().blockOf(block_addr));
@@ -799,6 +812,33 @@ MemorySystem::snapshot(std::size_t which) const
                         pollutionEvents_[which].value());
 }
 
+IntervalSample
+MemorySystem::intervalSample(
+    Cycle now, const std::vector<FeedbackSnapshot> &snaps) const
+{
+    IntervalSample sample;
+    sample.cycle = now;
+    sample.accuracy[0] = snaps[0].accuracy;
+    sample.coverage[0] = snaps[0].coverage;
+    sample.primaryLevel = levels_[0];
+    sample.primaryEnabled = enabled_[0] != 0;
+    if (snaps.size() > 1) {
+        sample.accuracy[1] = snaps[1].accuracy;
+        sample.coverage[1] = snaps[1].coverage;
+        sample.ldsLevel = levels_[1];
+        sample.ldsEnabled = enabled_[1] != 0;
+    }
+    for (std::size_t i = 2; i < snaps.size(); ++i) {
+        EngineIntervalExtra extra;
+        extra.accuracy = snaps[i].accuracy;
+        extra.coverage = snaps[i].coverage;
+        extra.level = levels_[i];
+        extra.enabled = enabled_[i] != 0;
+        sample.extra.push_back(extra);
+    }
+    return sample;
+}
+
 void
 MemorySystem::endInterval(Cycle now)
 {
@@ -832,20 +872,11 @@ MemorySystem::endInterval(Cycle now)
     lastIntervalInstructions_ = retired;
     lastIntervalBus_ = bus;
 
-    // PAB selects enable bits and keys on the ThrottleKind; the level
-    // policy below runs regardless (a PAB run's default level policy
-    // is "static", a no-op).
-    if (cfg_.throttle == ThrottleKind::Pab) {
-        const unsigned keep = pab_.select();
-        for (std::size_t i = 0; i < n; ++i)
-            enabled_[i] = i == keep ? 1 : 0;
-    }
-
-    // Uniform per-slot level decisions through the policy. Applying a
+    // Enable bits first (only a selector policy such as PAB moves
+    // them), then uniform per-slot level decisions. Applying a
     // "Nothing" decision re-applies the unchanged level; every
-    // engine's setAggressiveness is an idempotent parameter set, so
-    // this is behaviourally identical to the pre-policy code that
-    // skipped applyLevel entirely for ThrottleKind::None.
+    // engine's setAggressiveness is an idempotent parameter set.
+    policy_->selectEnabled(enabled_);
     throttleIntervalsCtr_->inc();
     for (std::size_t i = 0; i < n; ++i) {
         const ThrottleDecision decision =
@@ -865,28 +896,9 @@ MemorySystem::endInterval(Cycle now)
                    CoordinatedThrottler::apply(levels_[i], decision));
     }
 
-    IntervalSample sample;
-    sample.cycle = now;
-    sample.accuracy[0] = snaps[0].accuracy;
-    sample.coverage[0] = snaps[0].coverage;
-    sample.primaryLevel = levels_[0];
-    sample.primaryEnabled = enabled_[0] != 0;
-    if (n > 1) {
-        sample.accuracy[1] = snaps[1].accuracy;
-        sample.coverage[1] = snaps[1].coverage;
-        sample.ldsLevel = levels_[1];
-        sample.ldsEnabled = enabled_[1] != 0;
-    }
-    for (std::size_t i = 2; i < n; ++i) {
-        EngineIntervalExtra extra;
-        extra.accuracy = snaps[i].accuracy;
-        extra.coverage = snaps[i].coverage;
-        extra.level = levels_[i];
-        extra.enabled = enabled_[i] != 0;
-        sample.extra.push_back(extra);
-    }
+    IntervalSample sample = intervalSample(now, snaps);
     sample.policy = policy_->intervalStateJson();
-    intervalSeries_.push_back(sample);
+    intervalSeries_.push_back(std::move(sample));
 
     if (tracer_) {
         for (std::size_t which = 0; which < n; ++which) {
@@ -1020,7 +1032,7 @@ MemorySystem::collectStats(RunStats &out, Cycle now)
     for (std::size_t i = 0; i < n; ++i) {
         RunStats::EngineRunStats es;
         es.instance = instanceNames_[i];
-        es.engine = stackNames_[i];
+        es.engine = cfg_.engines[i];
         es.issued = feedback_[i].lifetimeIssued();
         es.used = feedback_[i].lifetimeUsed();
         es.late = feedback_[i].lifetimeLate();
@@ -1043,7 +1055,7 @@ MemorySystem::collectStats(RunStats &out, Cycle now)
     }
     out.intervals = intervals_;
     out.intervalSeries = intervalSeries_;
-    out.throttlePolicy = policyName_;
+    out.throttlePolicy = cfg_.throttlePolicy;
     // The rule policies serialize nothing; the JSON writer keys the
     // new fields on a non-empty state blob, keeping default-policy
     // output byte-identical to the pinned goldens.
@@ -1079,27 +1091,7 @@ MemorySystem::collectStats(RunStats &out, Cycle now)
                                     pollution[i].value());
         }
 
-        IntervalSample sample;
-        sample.cycle = now;
-        sample.accuracy[0] = snaps[0].accuracy;
-        sample.coverage[0] = snaps[0].coverage;
-        sample.primaryLevel = levels_[0];
-        sample.primaryEnabled = enabled_[0] != 0;
-        if (n > 1) {
-            sample.accuracy[1] = snaps[1].accuracy;
-            sample.coverage[1] = snaps[1].coverage;
-            sample.ldsLevel = levels_[1];
-            sample.ldsEnabled = enabled_[1] != 0;
-        }
-        for (std::size_t i = 2; i < n; ++i) {
-            EngineIntervalExtra extra;
-            extra.accuracy = snaps[i].accuracy;
-            extra.coverage = snaps[i].coverage;
-            extra.level = levels_[i];
-            extra.enabled = enabled_[i] != 0;
-            sample.extra.push_back(extra);
-        }
-        out.intervalSeries.push_back(sample);
+        out.intervalSeries.push_back(intervalSample(now, snaps));
     }
 }
 
@@ -1116,10 +1108,7 @@ MemorySystem::resetEngineStack()
     }
     head_ = HeadState::Untried;
     demandMissCounter_.reset();
-    applyLevel(0, cfg_.primaryStartLevel);
-    for (std::size_t i = 1; i < n; ++i)
-        applyLevel(i, i == 1 ? cfg_.ldsStartLevel
-                             : AggLevel::Aggressive);
+    applyStartLevels();
     policy_->reset();
     // Re-arm the interval machinery at the current counts so the
     // first post-reset interval measures only post-reset activity.

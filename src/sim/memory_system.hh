@@ -9,10 +9,9 @@
  * CacheBlock::prefetchOwner index), its feedback/throttle lane and its
  * counter scope, so the paper's accuracy/coverage/pollution machinery
  * applies uniformly whether the stack is the paper's stream+CDP pair
- * or an arbitrary N-engine hybrid. Legacy two-slot configurations
- * (primary/lds kinds, empty cfg.engines) derive their stack via
- * effectiveEngineStack() and behave bit-identically to the
- * pre-registry implementation.
+ * or an arbitrary N-engine hybrid. The throttle policy
+ * (SystemConfig::throttlePolicy) makes every level and enable-bit
+ * decision; the memory system names no policy.
  *
  * Accounting lives in an obs::MetricRegistry (prefix "core<N>.")
  * rather than ad-hoc struct fields, so every run exposes the full
@@ -45,7 +44,6 @@
 #include "prefetch/cdp.hh"
 #include "prefetch/engine.hh"
 #include "prefetch/hardware_filter.hh"
-#include "prefetch/pab_selector.hh"
 #include "sim/config.hh"
 #include "sim/scheduler.hh"
 #include "throttle/coordinated_throttler.hh"
@@ -181,7 +179,7 @@ class MemorySystem : public CoreMemoryInterface
     /** PolicyRegistry name of the running throttle policy. */
     const std::string &throttlePolicyName() const
     {
-        return policyName_;
+        return cfg_.throttlePolicy;
     }
     /** @} */
 
@@ -328,17 +326,22 @@ class MemorySystem : public CoreMemoryInterface
                                          std::uint64_t aged_misses,
                                          std::uint64_t aged_pollution);
     FeedbackSnapshot snapshot(std::size_t which) const;
+    /** The interval-series entry for @p snaps and the current
+     *  levels and enable bits. */
+    IntervalSample
+    intervalSample(Cycle now,
+                   const std::vector<FeedbackSnapshot> &snaps) const;
     void applyLevel(std::size_t which, AggLevel level);
-    void pabRecord(std::size_t which, bool used);
+    /** Every slot back to its configured start level. */
+    void applyStartLevels();
 
     SystemConfig cfg_;
     unsigned coreId_;
     SimMemory image_;
     DramSystem *dram_;
 
-    /** @{ The engine stack: registry names, stats instance names, and
-     *  the engine objects, all indexed by slot. */
-    std::vector<std::string> stackNames_;
+    /** @{ The engine stack: stats instance names and the engine
+     *  objects, indexed by slot like cfg_.engines. */
     std::vector<std::string> instanceNames_;
     std::vector<std::unique_ptr<PrefetchEngine>> engines_;
     /** ldsClass_[i] != 0 iff slot i's engine is LDS-class (sits
@@ -363,10 +366,8 @@ class MemorySystem : public CoreMemoryInterface
     MshrFile mshrs_;
 
     std::unique_ptr<HardwareFilter> hwFilter_;
-    PabSelector pab_;
 
-    /** The level-decision policy (effectiveThrottlePolicy(cfg)). */
-    std::string policyName_;
+    /** The level and enable-bit policy (cfg_.throttlePolicy). */
     std::unique_ptr<ThrottlePolicy> policy_;
     /** Progress source for interval IPC deltas (attachCore()). */
     const Core *progressCore_ = nullptr;

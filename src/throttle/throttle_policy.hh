@@ -11,7 +11,10 @@
  * Up/Down/Nothing move, given the pre-decision snapshots of the whole
  * stack plus interval-level progress deltas (cycles, instructions,
  * bus transactions). Rule policies ignore the deltas; learned
- * policies ("tabular-rl") use them as their reward signal.
+ * policies ("tabular-rl") use them as their reward signal. Two more
+ * hooks, no-ops by default, serve decisions over the set of engines
+ * rather than per slot: a per-prefetch outcome feed and an interval-
+ * end enable-bit selection (the PAB comparison point, Section 7.4).
  *
  * PolicyRegistry mirrors the PR-7 EngineRegistry: built-in policies
  * are registered on first use by an explicit call (never static
@@ -65,6 +68,10 @@ struct PolicyContext
 {
     CoordinatedThrottler::Thresholds coord{};
     FdpThrottler::Thresholds fdp{};
+    /** Engine-stack slots the policy decides over. */
+    std::size_t slots = 2;
+    /** Outcomes the "pab" policy remembers per slot. */
+    unsigned pabWindow = 64;
     /**
      * Exploration seed for randomized policies. All policy randomness
      * derives from it (never from wall clock or address entropy), so
@@ -85,6 +92,8 @@ struct PolicyContext
  *    therefore fold its per-interval bookkeeping on the slot-0 call;
  *  - policies are deterministic: the same snapshot/context sequence
  *    (and seed) produces the same decisions;
+ *  - selectEnabled() runs once per interval boundary, before the
+ *    onIntervalEnd() calls;
  *  - policies only *decide* — applying a decision to a slot's
  *    aggressiveness level stays with the MemorySystem.
  */
@@ -93,7 +102,8 @@ class ThrottlePolicy
   public:
     virtual ~ThrottlePolicy() = default;
 
-    /** Registry name ("coordinated", "fdp", "static", "tabular-rl"). */
+    /** Registry name ("coordinated", "fdp", "pab", "static",
+     *  "tabular-rl"). */
     virtual const char *name() const = 0;
 
     /** Decide slot @p slot's aggressiveness move at an interval end. */
@@ -101,6 +111,20 @@ class ThrottlePolicy
     onIntervalEnd(std::size_t slot,
                   const std::vector<FeedbackSnapshot> &snapshots,
                   const IntervalContext &interval) = 0;
+
+    /**
+     * A prefetch of slot @p slot resolved: demanded (@p used, from the
+     * cache or as a late MSHR merge) or evicted unused.
+     */
+    virtual void onPrefetchOutcome(std::size_t /*slot*/, bool /*used*/)
+    {}
+
+    /**
+     * Choose the slots' enable bits at an interval end; @p enabled
+     * holds one bit per slot and is left as is by default.
+     */
+    virtual void selectEnabled(std::vector<std::uint8_t> & /*enabled*/)
+    {}
 
     /** Forget all learned/adaptive state (fresh-replay reset path). */
     virtual void reset() {}

@@ -5,8 +5,8 @@
  * tools (raw strings, comments, preprocessor continuations), the
  * structural pass (member extraction through nested templates,
  * initializers and lambdas), and exact-violation assertions for all
- * four rules over their seeded fixtures. A meta-test walks the rule
- * registry so a fifth rule cannot ship without a fixture proving it
+ * five rules over their seeded fixtures. A meta-test walks the rule
+ * registry so a new rule cannot ship without a fixture proving it
  * fires.
  */
 
@@ -63,13 +63,15 @@ ruleByName(const std::string &name)
     throw std::runtime_error("no such rule: " + name);
 }
 
-/** Load every .hh/.cc under <fixtures>/<rule>/src and run <rule>. */
+/** Load every .hh/.cc under <fixtures>/<rule>/src (recursively, as
+ *  ecdplint --root does) and run <rule>. */
 std::vector<Violation>
 runRuleOnFixture(const std::string &rule)
 {
     fs::path dir = fs::path(ECDP_LINT_FIXTURE_DIR) / rule / "src";
     std::vector<std::string> paths;
-    for (const fs::directory_entry &e : fs::directory_iterator(dir)) {
+    for (const fs::directory_entry &e :
+         fs::recursive_directory_iterator(dir)) {
         if (e.path().extension() == ".hh" ||
             e.path().extension() == ".cc")
             paths.push_back(e.path().string());
@@ -346,6 +348,18 @@ TEST(EcdplintRules, MutexUnannotatedFixture)
     std::vector<Violation> vs = runRuleOnFixture("mutex-unannotated");
     std::vector<int> expect = {16, 23};
     EXPECT_EQ(lines(vs), expect);
+}
+
+TEST(EcdplintRules, FdWithoutCloexecFixture)
+{
+    // The ifstream, pipe(), fopen "w" and plain open() in
+    // src/server/; the flagged, member, allowed and non-server
+    // calls stay silent.
+    std::vector<Violation> vs = runRuleOnFixture("fd-without-cloexec");
+    std::vector<int> expect = {16, 26, 27, 29};
+    EXPECT_EQ(lines(vs), expect);
+    for (const Violation &v : vs)
+        EXPECT_NE(v.file.find("src/server/"), std::string::npos);
 }
 
 TEST(EcdplintRules, RelockableGuardGapIsNotUnderLock)

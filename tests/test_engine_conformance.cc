@@ -179,7 +179,7 @@ TEST_P(EngineConformance, ResetEngineStackRestoresFreshFeedback)
     // leak across replays).
     const EngineFixture &f = fixture();
     SystemConfig cfg = f.cfg;
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.throttlePolicy = "coordinated";
     obs::MetricRegistry metrics;
     Observability obs{&metrics, nullptr};
     DramSystem dram(cfg.dram, 1);
@@ -231,7 +231,7 @@ TEST_P(EngineConformance, FiresWhenExpectedAndConserves)
     }
 
     harness::checkEngineIdentities(
-        metrics, 0, engineInstanceNames(effectiveEngineStack(f.cfg)),
+        metrics, 0, engineInstanceNames(f.cfg.engines),
         f.engine);
 
     ASSERT_EQ(stats.engineStats.size(), 1u);
@@ -286,14 +286,14 @@ TEST(EngineStacks, ThreeEngineHybridConserves)
     Workload workload = harness::pointerChaseWorkload();
     SystemConfig cfg;
     cfg.engines = {"stream", "cdp", "isb"};
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.throttlePolicy = "coordinated";
 
     obs::MetricRegistry metrics;
     RunStats stats =
         simulate(cfg, workload, Observability{&metrics, nullptr});
 
     const std::vector<std::string> instances =
-        engineInstanceNames(effectiveEngineStack(cfg));
+        engineInstanceNames(cfg.engines);
     ASSERT_EQ(instances,
               (std::vector<std::string>{"primary", "lds", "isb2"}));
     harness::checkEngineIdentities(metrics, 0, instances, "hybrid");

@@ -62,8 +62,7 @@ SystemConfig
 noPrefetchConfig()
 {
     SystemConfig cfg;
-    cfg.primary = PrimaryKind::None;
-    cfg.lds = LdsKind::None;
+    cfg.engines = {"none", "none"};
     return cfg;
 }
 
@@ -171,8 +170,7 @@ SystemConfig
 cdpConfig()
 {
     SystemConfig cfg;
-    cfg.primary = PrimaryKind::None;
-    cfg.lds = LdsKind::Cdp;
+    cfg.engines = {"none", "cdp"};
     return cfg;
 }
 
@@ -230,7 +228,7 @@ TEST(MemorySystem, EcdpHintsGateDemandScans)
 {
     HintTable hints; // empty: nothing is beneficial
     SystemConfig cfg = cdpConfig();
-    cfg.lds = LdsKind::Ecdp;
+    cfg.engines[1] = "ecdp";
     cfg.hints = &hints;
     Rig rig(cfg);
     rig.mem.image().writePointer(0x40000004, 0x40008000);
@@ -246,7 +244,7 @@ TEST(MemorySystem, EcdpHintedSlotIsPrefetched)
     HintTable hints;
     hints.entry(0x1000).set(+1);
     SystemConfig cfg = cdpConfig();
-    cfg.lds = LdsKind::Ecdp;
+    cfg.engines[1] = "ecdp";
     cfg.hints = &hints;
     Rig rig(cfg);
     rig.mem.image().writePointer(0x40000004, 0x40008000); // slot +1
@@ -346,9 +344,8 @@ TEST(MemorySystem, HardwareFilterDropsRepeatOffenders)
 TEST(MemorySystem, CoordinatedThrottlingReactsToUselessPrefetches)
 {
     SystemConfig cfg;
-    cfg.primary = PrimaryKind::None; // keep the miss stream visible
-    cfg.lds = LdsKind::Cdp;
-    cfg.throttle = ThrottleKind::Coordinated;
+    cfg.engines = {"none", "cdp"}; // keep the miss stream visible
+    cfg.throttlePolicy = "coordinated";
     cfg.intervalEvictions = 32;
     cfg.l2Bytes = 64 * 1024;
     Rig rig(cfg);
@@ -381,8 +378,8 @@ TEST(MemorySystem, CoordinatedThrottlingReactsToUselessPrefetches)
 TEST(MemorySystem, PabKeepsOnlyOnePrefetcherEnabled)
 {
     SystemConfig cfg;
-    cfg.lds = LdsKind::Cdp;
-    cfg.throttle = ThrottleKind::Pab;
+    cfg.engines = {"stream", "cdp"};
+    cfg.throttlePolicy = "pab";
     cfg.intervalEvictions = 32;
     cfg.l2Bytes = 64 * 1024;
     Rig rig(cfg);

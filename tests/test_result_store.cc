@@ -238,6 +238,25 @@ TEST(ResultStore, KeyStampMismatchCountsAsCorrupt)
     EXPECT_EQ(reopened.corruptRebuilds(), 1u);
 }
 
+TEST(ResultStore, SpillOfAnotherVersionIsRebuilt)
+{
+    // A well-framed entry from an older format may mean something
+    // else now; it is dropped and recomputed, never served.
+    const std::string dir = freshDir("ecdp_store_version");
+    const std::uint64_t key = 0x42;
+    std::filesystem::create_directories(dir);
+    {
+        std::ofstream out(std::filesystem::path(dir) /
+                              ResultStore::entryFileName(key),
+                          std::ios::binary);
+        out << "{\"version\":" << ResultStore::kSpillVersion - 1
+            << ",\"key\":\"0000000000000042\",\"bytes\":3}\nold";
+    }
+    ResultStore store(dir);
+    EXPECT_FALSE(store.lookup(key));
+    EXPECT_EQ(store.corruptRebuilds(), 1u);
+}
+
 TEST(ResultStore, MemoryCapEvictsOldestInsertionFirst)
 {
     // Memory-only store bounded to 2 entries: the third insert

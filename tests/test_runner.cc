@@ -103,6 +103,10 @@ TEST(ConfigHashTest, IdenticalConfigsHashEqual)
     EXPECT_EQ(configHash(configs::baseline()),
               configHash(configs::baseline()));
     EXPECT_EQ(configHash(SystemConfig{}), configHash(SystemConfig{}));
+    // An empty stack is the baseline pair it runs.
+    SystemConfig spelled;
+    spelled.engines = {"stream", "none"};
+    EXPECT_EQ(configHash(SystemConfig{}), configHash(spelled));
 }
 
 TEST(ConfigHashTest, EveryTweakedKnobChangesTheHash)
@@ -116,10 +120,13 @@ TEST(ConfigHashTest, EveryTweakedKnobChangesTheHash)
     EXPECT_NE(base, tweaked([](SystemConfig &c) { c.l2Bytes *= 2; }));
     EXPECT_NE(base, tweaked([](SystemConfig &c) { c.l2Assoc = 4; }));
     EXPECT_NE(base, tweaked([](SystemConfig &c) {
-                  c.lds = LdsKind::Cdp;
+                  c.engines = {"stream", "cdp"};
               }));
     EXPECT_NE(base, tweaked([](SystemConfig &c) {
-                  c.throttle = ThrottleKind::Coordinated;
+                  c.throttlePolicy = "coordinated";
+              }));
+    EXPECT_NE(base, tweaked([](SystemConfig &c) {
+                  c.throttleRlSeed = 2;
               }));
     EXPECT_NE(base, tweaked([](SystemConfig &c) {
                   c.coordThresholds.tCoverage += 0.1;
@@ -133,6 +140,15 @@ TEST(ConfigHashTest, EveryTweakedKnobChangesTheHash)
     EXPECT_NE(base, tweaked([](SystemConfig &c) {
                   c.prefetchQueueEntries = 64;
               }));
+
+    // Same engine stack, three throttle policies: three configs.
+    const std::uint64_t cdp = configHash(configs::streamCdp());
+    const std::uint64_t pab = configHash(configs::streamCdpPab());
+    const std::uint64_t throttled =
+        configHash(configs::streamCdpThrottled());
+    EXPECT_NE(cdp, pab);
+    EXPECT_NE(cdp, throttled);
+    EXPECT_NE(pab, throttled);
 }
 
 TEST(ConfigHashTest, HintsHashByContentNotAddress)

