@@ -148,6 +148,13 @@ struct ExactCase
     const char *config;
 };
 
+/** Names the case by value, so test ids do not embed addresses. */
+void
+PrintTo(const ExactCase &c, std::ostream *os)
+{
+    *os << c.bench << ":" << c.config;
+}
+
 class SkippingIsExact : public ::testing::TestWithParam<ExactCase>
 {
 };

@@ -147,6 +147,13 @@ struct Table3Case
     ThrottleDecision expected;
 };
 
+/** Names the case by value, so test ids do not embed addresses. */
+void
+PrintTo(const Table3Case &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class Table3Test : public ::testing::TestWithParam<Table3Case>
 {
 };
