@@ -142,6 +142,23 @@ writeRunStatsJson(std::ostream &os, const RunStats &stats,
     os << "}";
 }
 
+void
+writeMultiCoreJson(std::ostream &os, const MultiCoreResult &result,
+                   const std::string &label)
+{
+    os << "{\"config\":\"" << jsonEscape(label)
+       << "\",\"weightedSpeedup\":" << result.weightedSpeedup
+       << ",\"hmeanSpeedup\":" << result.hmeanSpeedup
+       << ",\"busTransactions\":" << result.busTransactions
+       << ",\"cores\":[";
+    for (std::size_t i = 0; i < result.perCore.size(); ++i) {
+        writeRunStatsJson(os, result.perCore[i]);
+        if (i + 1 < result.perCore.size())
+            os << ',';
+    }
+    os << "]}";
+}
+
 // --- JsonValue -------------------------------------------------------
 
 bool

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/config.hh"
+#include "sim/multicore.hh"
 
 namespace ecdp
 {
@@ -31,6 +32,14 @@ namespace ecdp
  */
 void writeRunStatsJson(std::ostream &os, const RunStats &stats,
                        const std::string &label = "");
+
+/**
+ * Write a multi-core run as one JSON object: @p label as "config",
+ * the weighted and hmean speedups, total bus transactions and one
+ * writeRunStatsJson() object per core under "cores".
+ */
+void writeMultiCoreJson(std::ostream &os, const MultiCoreResult &result,
+                        const std::string &label);
 
 /** JSON string escaping (exposed for tests). */
 std::string jsonEscape(const std::string &text);

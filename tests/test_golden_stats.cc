@@ -2,8 +2,9 @@
  * @file
  * Golden-stats regression: the full RunStats JSON of one small
  * deterministic run per named config (configs::knownNames()) is
- * pinned under tests/golden/ and compared field by field. Any behavioural change to the simulator — counter
- * drift, a new accounting site, a changed threshold — shows up as a
+ * pinned under tests/golden/ and compared field by field, and so is
+ * the JSON of a 2-core and a 4-core mix under two configs. Any
+ * behavioural change to the simulator — counter drift, a new accounting site, a changed threshold — shows up as a
  * named-field diff here before it shows up as a mysterious shift in
  * a paper figure.
  *
@@ -18,9 +19,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "compiler/profiling_compiler.hh"
 #include "sim/experiment.hh"
+#include "sim/multicore.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
 #include "workloads/workload.hh"
@@ -143,21 +146,25 @@ class GoldenStatsTest : public ::testing::TestWithParam<GoldenCase>
 {
 };
 
-TEST_P(GoldenStatsTest, MatchesPinnedJson)
+/** Compare @p fresh field by field against tests/golden/@p file. */
+void
+expectMatchesGolden(const std::string &file, const std::string &fresh,
+                    const std::string &context)
 {
-    const GoldenCase &c = GetParam();
-    const std::string path =
-        std::string(ECDP_GOLDEN_DIR) + "/" + c.file;
+    const std::string path = std::string(ECDP_GOLDEN_DIR) + "/" + file;
     std::ifstream in(path);
     ASSERT_TRUE(in) << "missing golden file " << path
                     << " — run tools/update_golden.sh";
     std::stringstream ss;
     ss << in.rdbuf();
+    compareValues(parseJson(ss.str()), parseJson(fresh), context);
+}
 
-    JsonValue golden = parseJson(ss.str());
-    JsonValue fresh = parseJson(generate(c));
-    compareValues(golden, fresh, std::string(c.bench) + ":" +
-                                     c.config);
+TEST_P(GoldenStatsTest, MatchesPinnedJson)
+{
+    const GoldenCase &c = GetParam();
+    expectMatchesGolden(c.file, generate(c),
+                        std::string(c.bench) + ":" + c.config);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -182,6 +189,87 @@ TEST(GoldenStats, EveryNamedConfigIsPinned)
                             << " has no golden case";
     }
 }
+
+// ---------------------------------------------------------------------
+// Multi-core goldens: a 2-core and a 4-core train mix, as
+// `ecdpsim --multicore A,B,... --config C --input train --json` writes
+// them. Besides every core's stats they pin what the multi-core
+// epilogue derives: weighted and hmean speedup and bus transactions.
+// ---------------------------------------------------------------------
+
+struct MixGoldenCase
+{
+    const char *mix;
+    const char *config;
+    const char *file;
+};
+
+constexpr MixGoldenCase kMixCases[] = {
+    {"health,mst", "baseline", "mix_health_mst_baseline.json"},
+    {"health,mst", "full", "mix_health_mst_full.json"},
+    {"mcf,omnetpp,health,mst", "baseline",
+     "mix_mcf_omnetpp_health_mst_baseline.json"},
+    {"mcf,omnetpp,health,mst", "full",
+     "mix_mcf_omnetpp_health_mst_full.json"},
+};
+
+void
+PrintTo(const MixGoldenCase &c, std::ostream *os)
+{
+    *os << c.mix << ":" << c.config;
+}
+
+std::string
+generateMix(const MixGoldenCase &c)
+{
+    // As ecdpsim --multicore: one hint table merged over the mix, and
+    // each core's alone IPC under the same config.
+    std::vector<Workload> workloads;
+    HintTable merged;
+    std::stringstream names(c.mix);
+    for (std::string name; std::getline(names, name, ',');) {
+        if (configs::nameNeedsHints(c.config)) {
+            const HintTable hints = ProfilingCompiler::profile(
+                buildWorkload(name, InputSet::Train));
+            for (const auto &[pc, hint] : hints)
+                merged.entry(pc) = hint;
+        }
+        workloads.push_back(buildWorkload(name, InputSet::Train));
+    }
+    const SystemConfig cfg = configs::byName(c.config, &merged);
+    std::vector<const Workload *> mix;
+    std::vector<double> alone;
+    for (const Workload &workload : workloads) {
+        mix.push_back(&workload);
+        alone.push_back(simulate(cfg, workload).ipc);
+    }
+    std::ostringstream os;
+    writeMultiCoreJson(os, simulateMultiCore(cfg, mix, alone), c.config);
+    return os.str();
+}
+
+class MixGoldenStatsTest : public ::testing::TestWithParam<MixGoldenCase>
+{
+};
+
+TEST_P(MixGoldenStatsTest, MatchesPinnedJson)
+{
+    const MixGoldenCase &c = GetParam();
+    expectMatchesGolden(c.file, generateMix(c),
+                        std::string(c.mix) + ":" + c.config);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TrainMixes, MixGoldenStatsTest, ::testing::ValuesIn(kMixCases),
+    [](const ::testing::TestParamInfo<MixGoldenCase> &info) {
+        std::string name = std::string(info.param.mix) + "_" +
+                           info.param.config;
+        for (char &ch : name) {
+            if (ch == ',')
+                ch = '_';
+        }
+        return name;
+    });
 
 // ---------------------------------------------------------------------
 // Spelled-out differentials: replacing a config's engine stack, or its

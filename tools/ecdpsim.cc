@@ -220,18 +220,8 @@ runMulti(const Options &opts)
         result = simulateMultiCore(cfg, ptrs, alone);
     }
     if (opts.json) {
-        std::cout << "{\"config\":\"" << jsonEscape(configLabel(opts))
-                  << "\",\"weightedSpeedup\":"
-                  << result.weightedSpeedup
-                  << ",\"hmeanSpeedup\":" << result.hmeanSpeedup
-                  << ",\"busTransactions\":"
-                  << result.busTransactions << ",\"cores\":[";
-        for (std::size_t i = 0; i < result.perCore.size(); ++i) {
-            writeRunStatsJson(std::cout, result.perCore[i]);
-            if (i + 1 < result.perCore.size())
-                std::cout << ',';
-        }
-        std::cout << "]}\n";
+        writeMultiCoreJson(std::cout, result, configLabel(opts));
+        std::cout << '\n';
     } else {
         std::cout << opts.multicore.size() << "-core run ["
                   << configLabel(opts) << "]\n";

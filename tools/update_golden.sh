@@ -33,6 +33,16 @@ gen() {
         --input train --json > "$golden/$out"
 }
 
+genmix() {
+    mix=$1
+    config=$2
+    out=$3
+    echo "  --multicore $mix --config $config -> tests/golden/$out"
+    ECDP_TRACE= ECDP_RESULT_CACHE= \
+        "$ecdpsim" --multicore "$mix" --config "$config" \
+        --input train --json > "$golden/$out"
+}
+
 echo "regenerating golden stats:"
 gen health baseline health_baseline.json
 gen mst cdp+throttle mst_cdp_throttle.json
@@ -49,4 +59,9 @@ gen bisort ecdp+fdp bisort_ecdp_fdp.json
 gen bisort cdp+pab bisort_cdp_pab.json
 gen perimeter grp perimeter_grp.json
 gen health ideal-lds health_ideal_lds.json
+genmix health,mst baseline mix_health_mst_baseline.json
+genmix health,mst full mix_health_mst_full.json
+genmix mcf,omnetpp,health,mst baseline \
+    mix_mcf_omnetpp_health_mst_baseline.json
+genmix mcf,omnetpp,health,mst full mix_mcf_omnetpp_health_mst_full.json
 echo "done — review the diff before committing."
