@@ -19,8 +19,14 @@
  * the event-driven one reports how many loop iterations the scheduler
  * ran per simulated cycle and which bound held each iteration that
  * could not skip (the sched.* counters). The output is
- * machine-readable JSON (schema BENCH_simbench/v4, see
+ * machine-readable JSON (schema BENCH_simbench/v5, see
  * EXPERIMENTS.md).
+ *
+ * A multi-core scaling table (v5) runs 1, 2, 4 and 8 cores over the
+ * Fig-15 mostly-stream train mix, polled against event-driven, and
+ * reports for each the identity flag, wall times, loop iterations
+ * per cycle and pairs (memory system plus core) ticked per
+ * iteration: a pair ticks only when its own wake time comes.
  *
  * Besides the legacy two-slot stack, one run benchmarks a
  * three-engine hybrid (stream+cdp+isb under coordinated throttling)
@@ -40,18 +46,22 @@
  *     lets the clock jump, so its cycles/sec guards both that and
  *     the raw per-event cost the speedup ratio is blind to — a
  *     slowdown hitting both modes equally leaves the ratio unchanged.
+ *   - the 4-core scaling row's event-driven cycles/sec, on the same
+ *     terms: it guards the per-pair wake times of the N-core loop.
  *
  * Usage:
  *   simbench [--quick] [--reps N] [--out FILE]
  *            [--check BASELINE.json] [--tolerance FRAC]
  *
- *   --quick      two workloads, one rep: a ctest smoke that the
- *                harness and the identity oracle work at all.
+ *   --quick      two workloads and the 1- and 2-core rows, one
+ *                rep: a ctest smoke that the harness and the
+ *                identity oracle work at all.
  *   --check F    exit non-zero if any workload's stats diverge
  *                between modes, if the geometric-mean speedup drops
  *                below baseline * (1 - tolerance), or if mst
  *                event-driven cycles/sec drops below baseline mst
- *                cycles/sec * (1 - tolerance).
+ *                cycles/sec * (1 - tolerance), and likewise for the
+ *                hybrid stack and the 4-core scaling row.
  *   --tolerance  slack fraction for --check (default 0.25).
  */
 
@@ -66,6 +76,7 @@
 #include "obs/metrics.hh"
 #include "obs/phase_profiler.hh"
 #include "sim/experiment.hh"
+#include "sim/multicore.hh"
 #include "sim/scheduler.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
@@ -127,12 +138,47 @@ struct WorkloadResult
     SchedulerProfile sched;
 };
 
+/** v5 addition: one row of the multi-core scaling table. */
+struct ScalingRow
+{
+    unsigned cores = 0;
+    std::uint64_t cycles = 0;
+    ModeTiming percycle;
+    ModeTiming eventDriven;
+    bool identical = false;
+    std::uint64_t iterations = 0;
+    std::uint64_t pairTicks = 0;
+};
+
 std::string
 statsJson(const RunStats &stats)
 {
     std::ostringstream os;
     writeRunStatsJson(os, stats, "simbench");
     return os.str();
+}
+
+/** min/median/max wall time of @p reps calls of @p run, and the
+ *  cycles/sec that @p cycles simulated cycles give at the min. */
+template <typename Run>
+ModeTiming
+timeReps(int reps, std::uint64_t cycles, Run &&run)
+{
+    std::vector<double> secs(static_cast<std::size_t>(reps));
+    for (double &s : secs) {
+        auto t0 = std::chrono::steady_clock::now();
+        run();
+        auto t1 = std::chrono::steady_clock::now();
+        s = std::chrono::duration<double>(t1 - t0).count();
+    }
+    std::sort(secs.begin(), secs.end());
+    ModeTiming t;
+    t.wallSeconds = secs.front();
+    t.wallMedian = secs[secs.size() / 2];
+    t.wallMax = secs.back();
+    t.cyclesPerSec =
+        static_cast<double>(cycles) / flooredWall(t.wallSeconds);
+    return t;
 }
 
 /**
@@ -150,21 +196,8 @@ timeMode(const SystemConfig &base, const Workload &workload,
     // Warm-up, never timed.
     stats_out =
         simulate(cfg, workload, Observability{&metrics_out, nullptr});
-    std::vector<double> secs(static_cast<std::size_t>(reps));
-    for (double &s : secs) {
-        auto t0 = std::chrono::steady_clock::now();
-        RunStats stats = simulate(cfg, workload);
-        auto t1 = std::chrono::steady_clock::now();
-        s = std::chrono::duration<double>(t1 - t0).count();
-    }
-    std::sort(secs.begin(), secs.end());
-    ModeTiming t;
-    t.wallSeconds = secs.front();
-    t.wallMedian = secs[secs.size() / 2];
-    t.wallMax = secs.back();
-    t.cyclesPerSec = static_cast<double>(stats_out.cycles.raw()) /
-                     flooredWall(t.wallSeconds);
-    return t;
+    return timeReps(reps, stats_out.cycles.raw(),
+                    [&] { simulate(cfg, workload); });
 }
 
 /** One additional event-driven rep with phase attribution attached.
@@ -223,6 +256,55 @@ benchWorkload(const SystemConfig &cfg, const std::string &name,
     return r;
 }
 
+/**
+ * One scaling row: @p cores cores running the first @p cores entries
+ * of @p mix repeated, polled against event-driven. The warm-up reps
+ * are observed: they give the identity oracle and the scheduler's
+ * iterations and pair ticks.
+ */
+ScalingRow
+benchScaling(const SystemConfig &base,
+             const std::vector<std::string> &mix, unsigned cores,
+             int reps)
+{
+    std::vector<Workload> workloads;
+    for (unsigned i = 0; i < cores; ++i)
+        workloads.push_back(
+            buildWorkload(mix[i % mix.size()], InputSet::Train));
+    std::vector<const Workload *> ptrs;
+    for (const Workload &workload : workloads)
+        ptrs.push_back(&workload);
+    const std::vector<double> alone(cores, 1.0);
+
+    ScalingRow row;
+    row.cores = cores;
+    std::string json[2];
+    obs::MetricRegistry metrics[2];
+    ModeTiming *timing[2] = {&row.percycle, &row.eventDriven};
+    for (int skipping = 0; skipping < 2; ++skipping) {
+        SystemConfig cfg = base;
+        cfg.cycleSkipping = skipping != 0;
+        // Warm-up, never timed.
+        const MultiCoreResult result = simulateMultiCore(
+            cfg, ptrs, alone, Observability{&metrics[skipping], nullptr});
+        row.cycles = 0;
+        for (const RunStats &stats : result.perCore) {
+            json[skipping] += statsJson(stats);
+            row.cycles = std::max(row.cycles, stats.cycles.raw());
+        }
+        *timing[skipping] = timeReps(reps, row.cycles, [&] {
+            simulateMultiCore(cfg, ptrs, alone);
+        });
+    }
+    row.identical = json[0] == json[1] &&
+                    machineCounters(metrics[0]) ==
+                        machineCounters(metrics[1]);
+    const std::string prefix = kSchedCounterPrefix;
+    row.iterations = metrics[1].value(prefix + "iterations");
+    row.pairTicks = metrics[1].value(prefix + "pair_ticks");
+    return row;
+}
+
 void
 writeModeJson(std::ostream &os, const char *key, const ModeTiming &t)
 {
@@ -274,7 +356,7 @@ writeReport(std::ostream &os, const std::vector<WorkloadResult> &rs,
             double gmean_speedup)
 {
     os.precision(6);
-    os << "{\n  \"schema\": \"BENCH_simbench/v4\",\n"
+    os << "{\n  \"schema\": \"BENCH_simbench/v5\",\n"
        << "  \"config\": \"" << jsonEscape(config_label) << "\",\n"
        << "  \"reps\": " << reps << ",\n  \"workloads\": [\n";
     for (std::size_t i = 0; i < rs.size(); ++i) {
@@ -313,7 +395,36 @@ writeHybridJson(std::ostream &os, const WorkloadResult &r,
        << ", \"identical\": " << (r.identical ? "true" : "false")
        << ",\n   ";
     writeSchedJson(os, r.sched, r.cycles);
-    os << "}\n}\n";
+    os << "},\n";
+}
+
+/** v5 addition: the multi-core scaling table, closing the report. */
+void
+writeScalingJson(std::ostream &os, const std::vector<ScalingRow> &rows,
+                 const std::string &mix_label)
+{
+    os << "  \"scaling\": {\"mix\": \"" << jsonEscape(mix_label)
+       << "\", \"rows\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const ScalingRow &r = rows[i];
+        const double iterations = static_cast<double>(r.iterations);
+        os << "    {\"cores\": " << r.cores
+           << ", \"cycles\": " << r.cycles << ",\n     ";
+        writeModeJson(os, "percycle", r.percycle);
+        os << ",\n     ";
+        writeModeJson(os, "eventDriven", r.eventDriven);
+        os << ",\n     \"identical\": "
+           << (r.identical ? "true" : "false")
+           << ", \"iterationsPerCycle\": "
+           << (r.cycles ? iterations / static_cast<double>(r.cycles)
+                        : 0.0)
+           << ", \"pairTicksPerIteration\": "
+           << (r.iterations
+                   ? static_cast<double>(r.pairTicks) / iterations
+                   : 0.0)
+           << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    }
+    os << "  ]}\n}\n";
 }
 
 struct Baseline
@@ -323,9 +434,11 @@ struct Baseline
     double mstEventCyclesPerSec = 0.0;
     /** Hybrid-stack event-driven cycles/sec (v3); 0 when absent. */
     double hybridEventCyclesPerSec = 0.0;
+    /** 4-core scaling row's event-driven cycles/sec (v5). */
+    double quadEventCyclesPerSec = 0.0;
 };
 
-/** Baseline figures from a committed BENCH_simbench.json (v4). */
+/** Baseline figures from a committed BENCH_simbench.json (v5). */
 Baseline
 readBaseline(const std::string &path)
 {
@@ -337,10 +450,10 @@ readBaseline(const std::string &path)
     std::stringstream buf;
     buf << in.rdbuf();
     JsonValue doc = parseJson(buf.str());
-    if (doc.at("schema").asString() != "BENCH_simbench/v4") {
+    if (doc.at("schema").asString() != "BENCH_simbench/v5") {
         throw std::runtime_error(
             "simbench: unexpected baseline schema (want "
-            "BENCH_simbench/v4)");
+            "BENCH_simbench/v5)");
     }
     Baseline base;
     base.gmeanSpeedup = doc.at("gmeanSpeedup").asDouble();
@@ -354,6 +467,13 @@ readBaseline(const std::string &path)
                                        .at("eventDriven")
                                        .at("cyclesPerSec")
                                        .asDouble();
+    for (const JsonValue &row :
+         doc.at("scaling").at("rows").asArray()) {
+        if (row.at("cores").asU64() == 4) {
+            base.quadEventCyclesPerSec =
+                row.at("eventDriven").at("cyclesPerSec").asDouble();
+        }
+    }
     return base;
 }
 
@@ -449,9 +569,35 @@ main(int argc, char **argv)
               << (hybrid.identical ? "yes" : "NO") << "\n";
     all_identical = all_identical && hybrid.identical;
 
+    // v5 multi-core scaling: 1, 2, 4 and 8 cores over the Fig-15
+    // mostly-stream mix, where one busy core holds the clock and the
+    // others mostly wait on memory.
+    const std::vector<std::string> mix = {"perlbench", "h264ref", "lbm",
+                                          "libquantum"};
+    const std::string mix_label = "perlbench+h264ref+lbm+libquantum";
+    std::vector<ScalingRow> scaling;
+    for (unsigned cores : {1u, 2u, 4u, 8u}) {
+        if (quick && cores > 2)
+            break;
+        ScalingRow row = benchScaling(cfg, mix, cores, reps);
+        std::cerr << "simbench: " << cores << "-core mix "
+                  << row.eventDriven.cyclesPerSec
+                  << " cyc/s event-driven ("
+                  << row.percycle.wallSeconds << "s polled -> "
+                  << row.eventDriven.wallSeconds << "s), "
+                  << static_cast<double>(row.pairTicks) /
+                         static_cast<double>(
+                             std::max<std::uint64_t>(row.iterations, 1))
+                  << " pair ticks/iteration, identical="
+                  << (row.identical ? "yes" : "NO") << "\n";
+        all_identical = all_identical && row.identical;
+        scaling.push_back(row);
+    }
+
     std::ostringstream report;
     writeReport(report, results, config_label, reps, gmean_speedup);
     writeHybridJson(report, hybrid, hybrid_label);
+    writeScalingJson(report, scaling, mix_label);
     if (!out_path.empty()) {
         std::ofstream out(out_path);
         out << report.str();
@@ -514,6 +660,28 @@ main(int argc, char **argv)
             if (hybrid.eventDriven.cyclesPerSec < hybrid_floor) {
                 std::cerr << "simbench: FAIL — hybrid per-event "
                              "cost regressed beyond "
+                          << tolerance * 100.0 << "% tolerance\n";
+                failed = true;
+            }
+        }
+        // And for the 4-core mix: per-pair wake times are what keep
+        // a multi-core iteration from ticking every core.
+        const ScalingRow *quad = nullptr;
+        for (const ScalingRow &row : scaling) {
+            if (row.cores == 4)
+                quad = &row;
+        }
+        if (quad && base.quadEventCyclesPerSec > 0.0) {
+            const double quad_floor =
+                base.quadEventCyclesPerSec * (1.0 - tolerance);
+            std::cerr << "simbench: 4-core "
+                      << quad->eventDriven.cyclesPerSec
+                      << " cyc/s vs baseline "
+                      << base.quadEventCyclesPerSec << " (floor "
+                      << quad_floor << ")\n";
+            if (quad->eventDriven.cyclesPerSec < quad_floor) {
+                std::cerr << "simbench: FAIL — 4-core per-event cost "
+                             "regressed beyond "
                           << tolerance * 100.0 << "% tolerance\n";
                 failed = true;
             }

@@ -714,11 +714,11 @@ MemorySystem::issuePrefetches(Cycle now)
 
     // A DRAM-blocked head was refused at headRejectedAt_, and per-cycle
     // polling would have refused it once more on every cycle skipped
-    // since: nothing ends the block before the next fill or delayed
-    // release (nextEvent() wakes for those, and for maxCycles - 1),
-    // demand access, interval end or DRAM drain (the loop wakes for
-    // the core and DRAM bounds). Count those attempts so
-    // dram.buffer_rejects matches polling.
+    // since: nothing ends the block before the next fill, delayed
+    // release or DRAM drain (nextEvent() wakes for those, and for
+    // maxCycles - 1), demand access (the core's bound) or interval
+    // end. Count those attempts so dram.buffer_rejects matches
+    // polling.
     if (head_ == HeadState::DramBlocked && now > headRejectedAt_ + 1)
         dram_->countSkippedRejects((now - headRejectedAt_ - 1).raw());
     head_ = HeadState::Untried;
@@ -935,7 +935,7 @@ MemorySystem::tick(Cycle now)
 }
 
 NextEvent
-MemorySystem::nextEvent(Cycle now) const
+MemorySystem::nextEvent(Cycle now)
 {
     // A ready head that was not tried, or that the issue budget left
     // behind, may issue or drop next cycle.
@@ -958,10 +958,12 @@ MemorySystem::nextEvent(Cycle now) const
     Cycle wake = earliestFill_;
     if (!delayedQueue_.empty())
         wake = std::min(wake, delayedQueue_.top().readyAt);
-    // Wake a DRAM-blocked head on the last cycle the watchdog lets
-    // the loop tick, so tick() credits its skipped rejects.
-    if (head_ == HeadState::DramBlocked)
-        wake = std::min(wake, cfg_.maxCycles - 1);
+    // A DRAM-blocked head also wakes when the buffer drains, and on
+    // the watchdog's last cycle so tick() credits its skipped rejects.
+    if (head_ == HeadState::DramBlocked) {
+        wake = std::min(
+            {wake, dram_->nextEventCycle(now), cfg_.maxCycles - 1});
+    }
     return {wake > now ? wake : now + 1,
             ready ? SchedPin::BlockedHead : SchedPin::Fill};
 }

@@ -93,17 +93,18 @@ class MemorySystem : public CoreMemoryInterface
      *   - a head blocked on the MSHR demand reserve or a DRAM buffer
      *     reject retries as a no-op until a fill, a demand access
      *     (load()/store() clear the block), an interval end or a DRAM
-     *     drain, so it does not pin the clock. The drain is the DRAM
-     *     bound the loop already takes. Each skipped cycle of a
-     *     DRAM-blocked head would have made one rejected read; the
-     *     next tick() credits them to the DRAM reject counter, and
-     *     the head wakes no later than maxCycles - 1 so a watchdog
-     *     exit cannot leave them uncounted;
+     *     drain, so it does not pin the clock. A DRAM-blocked head
+     *     wakes at the DRAM's next drain: no request accepted later
+     *     completes before it. Each skipped cycle of a DRAM-blocked
+     *     head would have made one rejected read; the next tick()
+     *     credits them to the DRAM reject counter, and the head wakes
+     *     no later than maxCycles - 1 so a watchdog exit cannot leave
+     *     them uncounted;
      *   - a crossed eviction-delta interval boundary forces now + 1
      *     so endInterval fires on the same cycle it would have under
      *     per-cycle polling.
      */
-    NextEvent nextEvent(Cycle now) const;
+    NextEvent nextEvent(Cycle now);
 
     /**
      * Fold lifetime counters into @p out. Non-const because it also

@@ -45,21 +45,14 @@ struct MultiCoreResult
  * @param workloads One workload per core.
  * @param alone_ipc IPC of each workload running alone under the same
  *        configuration (for the speedup metrics).
+ * @param obs Observability bundle shared by every core's memory
+ *        system (counters are prefixed "core<N>.") and the DRAM
+ *        controller. Observability never changes simulated behaviour.
  */
 MultiCoreResult simulateMultiCore(
     const SystemConfig &cfg,
     const std::vector<const Workload *> &workloads,
-    const std::vector<double> &alone_ipc);
-
-/**
- * As above, with an observability bundle shared by every core's
- * memory system (counters are prefixed "core<N>.") and the DRAM
- * controller. Observability never changes simulated behaviour.
- */
-MultiCoreResult simulateMultiCore(
-    const SystemConfig &cfg,
-    const std::vector<const Workload *> &workloads,
-    const std::vector<double> &alone_ipc, const Observability &obs);
+    const std::vector<double> &alone_ipc, const Observability &obs = {});
 
 } // namespace ecdp
 

@@ -38,12 +38,15 @@ machineCounters(const obs::MetricRegistry &metrics)
     return out;
 }
 
-EventScheduler::EventScheduler(obs::MetricRegistry *metrics)
+EventScheduler::EventScheduler(obs::MetricRegistry *metrics,
+                               unsigned pairs)
+    : wakes_(pairs)
 {
     if (!metrics)
         return;
     const std::string prefix = kSchedCounterPrefix;
     iterations_ = &metrics->counter(prefix + "iterations");
+    pairTicks_ = &metrics->counter(prefix + "pair_ticks");
     for (unsigned i = 0; i < kSchedPinCount; ++i) {
         pins_[i] = &metrics->counter(
             prefix + "pin." +

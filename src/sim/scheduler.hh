@@ -8,6 +8,7 @@
 #ifndef ECDP_SIM_SCHEDULER_HH
 #define ECDP_SIM_SCHEDULER_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -21,14 +22,13 @@ namespace ecdp
 
 /**
  * The bound that pinned an iteration of the event-driven loop to
- * now + 1: the first one EventScheduler::earliest() asked that
- * answered the next cycle.
+ * now + 1.
  */
 enum class SchedPin : std::uint8_t
 {
     /** Memory: the ready-queue head is blocked on the MSHR reserve or
-     *  the DRAM buffer, and its wakeup (a fill or a delayed-prefetch
-     *  release) is the next cycle. */
+     *  the DRAM buffer, and its wakeup (a fill, a delayed-prefetch
+     *  release or a DRAM drain) is the next cycle. */
     BlockedHead,
     /** Memory: the issue budget ran out with ready prefetches left. */
     IssueBudget,
@@ -67,71 +67,101 @@ std::vector<std::pair<std::string, std::uint64_t>>
 machineCounters(const obs::MetricRegistry &metrics);
 
 /**
- * The event-driven loop's next-event search and its "sched.*"
- * counters.
+ * The event-driven loop's wake-time cache and its "sched.*" counters.
  *
- * earliest() takes the minimum over the loop's wakeup bounds and stops
- * at the first one that answers now + 1, which no other bound can
- * undercut. It asks first the bound that answered now + 1 on the
- * previous call: a busy core or a flooded prefetch queue usually stays
- * busy, and computing the bounds ahead of it in a fixed order would be
- * wasted on every busy cycle. The minimum does not depend on the
- * order; only which of several now + 1 bounds gets counted does.
+ * The loop drives n pairs, memory system i plus core i, around one
+ * shared DRAM. Each pair caches its own wake, recomputed only after
+ * the pair ticks; an iteration ticks the pairs that are due. rewake()
+ * asks first the bound that answered now + 1 on the pair's previous
+ * call and stops at a now + 1, which the other cannot undercut: a
+ * busy core or a flooded prefetch queue usually stays busy. Only
+ * which of two now + 1 bounds gets counted depends on the order.
  *
- * `sched.iterations` counts loop iterations, `sched.pin.<reason>` the
- * iterations a SchedPin held to the next cycle (skipping runs only).
- * They are bound only when the run has a registry, so an unobserved
- * run pays one null check per iteration. These counters describe the
- * scheduler, not the simulated machine: they are the only registry
- * entries that differ between skipping on and off.
+ * `sched.iterations` counts loop iterations, `sched.pair_ticks` the
+ * pairs they ticked, `sched.pin.<reason>` the iterations a SchedPin
+ * held to the next cycle (skipping runs only). They are bound only
+ * when the run has a registry, so an unobserved run pays one null
+ * check per iteration. These counters describe the scheduler, not the
+ * simulated machine: they are the only registry entries that differ
+ * between skipping on and off.
  */
 class EventScheduler
 {
   public:
-    explicit EventScheduler(obs::MetricRegistry *metrics);
+    /** @p pairs is the number of memory-system/core pairs; every one
+     *  is due until its first rewake(). */
+    EventScheduler(obs::MetricRegistry *metrics, unsigned pairs);
 
-    /** Count one loop iteration. */
-    void iteration()
+    /** Count one loop iteration that ticked @p ticked pairs. */
+    void iteration(unsigned ticked)
     {
-        if (iterations_)
+        if (iterations_) {
             iterations_->inc();
+            pairTicks_->add(ticked);
+        }
+    }
+
+    /** True when pair @p i ticks at @p now. */
+    bool due(unsigned i, Cycle now) const
+    {
+        return wakes_[i].next.at <= now;
     }
 
     /**
-     * Earliest of @p count bounds after @p now, where bound(k) returns
-     * bound k as a NextEvent. @p count must not change between calls.
+     * Cache the wake of pair @p i, which ticked at @p now, as the
+     * earlier of the NextEvents @p memory() and @p core() return.
      */
-    template <typename Bound>
-    NextEvent earliest(Cycle now, unsigned count, Bound &&bound)
+    template <typename Memory, typename Core>
+    void rewake(unsigned i, Cycle now, Memory &&memory, Core &&core)
     {
-        NextEvent wake{kNoEventCycle, SchedPin::Dram};
-        unsigned k = first_;
-        for (unsigned asked = 0; asked < count; ++asked) {
-            const NextEvent at = bound(k);
-            if (at.at < wake.at)
-                wake = at;
-            if (at.at <= now + 1) {
-                first_ = k;
-                break;
-            }
-            if (++k == count)
-                k = 0;
+        Wake &w = wakes_[i];
+        w.next = w.coreFirst ? core() : memory();
+        if (w.next.at > now + 1) {
+            const NextEvent other = w.coreFirst ? memory() : core();
+            if (other.at <= now + 1)
+                w.coreFirst = !w.coreFirst;
+            if (other.at < w.next.at)
+                w.next = other;
         }
-        return wake;
     }
 
-    /** Count @p why as having held an iteration to the next cycle. */
-    void pinned(SchedPin why)
+    /**
+     * The cycle after @p now the loop runs next: the earliest cached
+     * wake, or the Cycle @p dram() returns when it is earlier (asked
+     * only when no pair is due at now + 1), clamped to [now + 1,
+     * @p limit]. Counts the bound that held it to now + 1.
+     */
+    template <typename Dram>
+    Cycle next(Cycle now, Cycle limit, Dram &&dram)
     {
-        if (iterations_)
-            pins_[static_cast<unsigned>(why)]->inc();
+        NextEvent wake{kNoEventCycle, SchedPin::Dram};
+        for (const Wake &w : wakes_) {
+            if (w.next.at < wake.at)
+                wake = w.next;
+        }
+        if (wake.at > now + 1) {
+            const Cycle drain = dram();
+            if (drain < wake.at)
+                wake = {drain, SchedPin::Dram};
+        }
+        const Cycle at = std::max(now + 1, std::min(wake.at, limit));
+        if (at == now + 1 && iterations_)
+            pins_[static_cast<unsigned>(wake.pin)]->inc();
+        return at;
     }
 
   private:
+    struct Wake
+    {
+        NextEvent next{Cycle{}, SchedPin::Core};
+        /** Ask the core bound first: it answered now + 1 last. */
+        bool coreFirst = false;
+    };
+
     obs::Counter *iterations_ = nullptr;
+    obs::Counter *pairTicks_ = nullptr;
     obs::Counter *pins_[kSchedPinCount] = {};
-    /** The bound that answered now + 1 on the previous call. */
-    unsigned first_ = 0;
+    std::vector<Wake> wakes_;
 };
 
 } // namespace ecdp

@@ -1,6 +1,8 @@
 /**
  * @file
- * Single-core simulation driver.
+ * Simulation drivers. simulate() here and simulateMultiCore()
+ * (sim/multicore.hh) share one event-driven loop over n memory-system
+ * and core pairs around a shared DRAM; a single-core run is n = 1.
  */
 
 #ifndef ECDP_SIM_SIMULATOR_HH
@@ -16,18 +18,13 @@ namespace ecdp
 /**
  * Runs one Workload on one core under a SystemConfig and returns the
  * run statistics. The workload's image is cloned, so a Workload can be
- * reused across runs and configurations.
- */
-RunStats simulate(const SystemConfig &cfg, const Workload &workload);
-
-/**
- * As above, with an observability bundle wired through the memory
- * system and DRAM. Observability never changes simulated behaviour —
- * only what is recorded about it — so both overloads produce
- * identical stats for the same (cfg, workload).
+ * reused across runs and configurations. @p obs is wired through the
+ * memory system and DRAM; observability never changes simulated
+ * behaviour, only what is recorded about it, so the stats are the same
+ * with or without it.
  */
 RunStats simulate(const SystemConfig &cfg, const Workload &workload,
-                  const Observability &obs);
+                  const Observability &obs = {});
 
 } // namespace ecdp
 

@@ -15,73 +15,20 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 
-#include "compiler/profiling_compiler.hh"
 #include "obs/observability.hh"
 #include "sim/experiment.hh"
 #include "sim/multicore.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
+#include "case_config.hh"
+
 namespace ecdp
 {
 namespace
 {
-
-const HintTable &
-trainHints(const std::string &bench)
-{
-    static std::map<std::string, HintTable> cache;
-    auto it = cache.find(bench);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(bench,
-                          ProfilingCompiler::profile(
-                              buildWorkload(bench, InputSet::Train)))
-                 .first;
-    }
-    return it->second;
-}
-
-SystemConfig
-makeCaseConfig(const std::string &config, const std::string &bench)
-{
-    if (config == "noprefetch")
-        return configs::noPrefetch();
-    if (config == "baseline")
-        return configs::baseline();
-    if (config == "cdp")
-        return configs::streamCdp();
-    if (config == "cdp+throttle")
-        return configs::streamCdpThrottled();
-    if (config == "full")
-        return configs::fullProposal(&trainHints(bench));
-    if (config == "dbp")
-        return configs::streamDbp();
-    if (config == "markov")
-        return configs::streamMarkov();
-    if (config == "ghb")
-        return configs::ghbAlone();
-    if (config == "cdp+filter")
-        return configs::streamCdpHwFilter(true);
-    if (config == "ecdp+fdp")
-        return configs::streamEcdpFdp(&trainHints(bench));
-    if (config == "cdp+pab")
-        return configs::streamCdpPab();
-    if (config == "ideal-lds")
-        return configs::idealLds();
-    if (config == "side-buffer") {
-        // The Section 2.3 no-pollution oracle: prefetches fill a side
-        // buffer instead of the L2, exercising the side_resident /
-        // side_used legs of the fill identity.
-        SystemConfig cfg = configs::streamCdp();
-        cfg.idealNoPollution = true;
-        return cfg;
-    }
-    throw std::runtime_error("unknown case config " + config);
-}
 
 /** Check every conservation identity for one core's subtree. */
 void
@@ -209,7 +156,7 @@ class ConservationTest
 TEST_P(ConservationTest, RegistryBalances)
 {
     const AccountingCase &c = GetParam();
-    SystemConfig cfg = makeCaseConfig(c.config, c.bench);
+    SystemConfig cfg = caseConfig(c.bench, c.config);
     Workload workload = buildWorkload(c.bench, InputSet::Train);
 
     obs::MetricRegistry metrics;
@@ -238,6 +185,8 @@ INSTANTIATE_TEST_SUITE_P(
         AccountingCase{"health", "cdp+pab"},
         AccountingCase{"health", "ecdp+fdp"},
         AccountingCase{"health", "markov"},
+        // Prefetches fill the side buffer instead of the L2: the
+        // side_resident / side_used legs of the fill identity.
         AccountingCase{"health", "side-buffer"},
         AccountingCase{"mst", "cdp+throttle"},
         AccountingCase{"mst", "dbp"},

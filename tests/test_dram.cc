@@ -81,6 +81,30 @@ TEST(Dram, BusSerializesEveryTransfer)
     }
 }
 
+TEST(Dram, LaterRequestsNeverDrainFirst)
+{
+    // The per-pair wake times of the simulation loop rely on this: a
+    // request accepted later, from any core, to any bank, completes
+    // after every request already in flight, so it cannot bring the
+    // buffer's next drain forward.
+    DramSystem dram(params(), 4);
+    Cycle last{};
+    for (unsigned i = 0; i < 48; ++i) {
+        const Cycle now{i * 37};
+        const Cycle drain = dram.nextEventCycle(now);
+        const unsigned core = (i * 7) % 4;
+        if (i % 5 == 4) {
+            dram.writeback(core, 0x42000000 + i * 4096, now);
+        } else {
+            const Cycle done = *dram.read(core, 0x40000000 + i * 896, now);
+            EXPECT_GT(done, last) << "request " << i;
+            last = done;
+        }
+        if (drain != kNoEventCycle)
+            EXPECT_EQ(dram.nextEventCycle(now), drain) << "request " << i;
+    }
+}
+
 TEST(Dram, CountsBusTransactions)
 {
     DramSystem dram(params(), 2);

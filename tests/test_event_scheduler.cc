@@ -21,13 +21,11 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <algorithm>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "compiler/profiling_compiler.hh"
 #include "sim/experiment.hh"
 #include "sim/multicore.hh"
 #include "sim/scheduler.hh"
@@ -35,25 +33,12 @@
 #include "stats/json.hh"
 #include "workloads/workload.hh"
 
+#include "case_config.hh"
+
 namespace ecdp
 {
 namespace
 {
-
-const HintTable &
-trainHints(const std::string &bench)
-{
-    static std::map<std::string, HintTable> cache;
-    auto it = cache.find(bench);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(bench,
-                          ProfilingCompiler::profile(
-                              buildWorkload(bench, InputSet::Train)))
-                 .first;
-    }
-    return it->second;
-}
 
 std::string
 statsJson(const RunStats &stats)
@@ -132,13 +117,18 @@ expectExactMix(const std::vector<std::string> &benches,
     EXPECT_DOUBLE_EQ(polled.weightedSpeedup, skipped.weightedSpeedup);
     EXPECT_DOUBLE_EQ(polled.hmeanSpeedup, skipped.hmeanSpeedup);
     EXPECT_EQ(polled.perCore.size(), skipped.perCore.size());
+    Cycle end{};
     for (std::size_t i = 0;
          i < std::min(polled.perCore.size(), skipped.perCore.size());
          ++i) {
         EXPECT_EQ(statsJson(polled.perCore[i]),
                   statsJson(skipped.perCore[i]))
             << "core " << i;
+        end = std::max(end, skipped.perCore[i].cycles);
     }
+    // Each pair ticks only when its own wake comes, yet the loop
+    // visits no more cycles than a single clock would.
+    EXPECT_LE(pair.skippedMetrics.value("sched.iterations"), end.raw());
     return pair.skipped;
 }
 
@@ -159,65 +149,35 @@ class SkippingIsExact : public ::testing::TestWithParam<ExactCase>
 {
 };
 
-SystemConfig
-caseConfig(const ExactCase &c)
-{
-    const std::string config = c.config;
-    if (config == "noprefetch")
-        return configs::noPrefetch();
-    if (config == "baseline")
-        return configs::baseline();
-    if (config == "cdp")
-        return configs::streamCdp();
-    if (config == "cdp+throttle")
-        return configs::streamCdpThrottled();
-    if (config == "full")
-        return configs::fullProposal(&trainHints(c.bench));
-    if (config == "ecdp+fdp")
-        return configs::streamEcdpFdp(&trainHints(c.bench));
-    if (config == "cdp+pab")
-        return configs::streamCdpPab();
-    if (config == "dbp")
-        return configs::streamDbp();
-    if (config == "markov")
-        return configs::streamMarkov();
-    if (config == "side-buffer") {
-        SystemConfig cfg = configs::streamCdp();
-        cfg.idealNoPollution = true;
-        return cfg;
-    }
-    throw std::runtime_error("unknown exactness config " + config);
-}
-
 TEST_P(SkippingIsExact, StatsJsonIsByteIdentical)
 {
     const ExactCase &c = GetParam();
-    RunStats stats = expectExact(c.bench, caseConfig(c));
+    RunStats stats = expectExact(c.bench, caseConfig(c.bench, c.config));
     // Sanity: these runs actually finish and do real work.
     EXPECT_FALSE(stats.timedOut);
     EXPECT_GT(stats.cycles, Cycle{});
     EXPECT_GT(stats.instructions, 0u);
 }
 
+/** Every named config (configs::knownNames()) and the side buffer. */
+constexpr ExactCase kExactCases[] = {
+    {"health", "baseline"},   {"mst", "cdp+throttle"},
+    {"bisort", "full"},       {"perimeter", "ecdp+fdp"},
+    {"health", "cdp+pab"},    {"mst", "dbp"},
+    {"bisort", "markov"},     {"health", "side-buffer"},
+    {"mst", "noprefetch"},    {"bisort", "ecdp"},
+    {"health", "ghb"},        {"health", "ghb+ecdp"},
+    {"mst", "cdp+filter"},    {"perimeter", "grp"},
+    {"health", "ideal-lds"},
+    // Unthrottled CDP: the ready-queue head spends most cycles blocked
+    // on the MSHR demand reserve (mst, perlbench) or refused by the
+    // DRAM buffer (omnetpp, ammp), the cycles skipping jumps.
+    {"mst", "cdp"},           {"perlbench", "cdp"},
+    {"omnetpp", "cdp"},       {"ammp", "cdp"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    ConfigMatrix, SkippingIsExact,
-    ::testing::Values(ExactCase{"health", "baseline"},
-                      ExactCase{"mst", "cdp+throttle"},
-                      ExactCase{"bisort", "full"},
-                      ExactCase{"perimeter", "ecdp+fdp"},
-                      ExactCase{"health", "cdp+pab"},
-                      ExactCase{"mst", "dbp"},
-                      ExactCase{"bisort", "markov"},
-                      ExactCase{"health", "side-buffer"},
-                      ExactCase{"mst", "noprefetch"},
-                      // Unthrottled CDP: the ready-queue head spends
-                      // most cycles blocked on the MSHR demand reserve
-                      // (mst, perlbench) or refused by the DRAM buffer
-                      // (omnetpp, ammp), the cycles skipping jumps.
-                      ExactCase{"mst", "cdp"},
-                      ExactCase{"perlbench", "cdp"},
-                      ExactCase{"omnetpp", "cdp"},
-                      ExactCase{"ammp", "cdp"}),
+    ConfigMatrix, SkippingIsExact, ::testing::ValuesIn(kExactCases),
     [](const ::testing::TestParamInfo<ExactCase> &info) {
         std::string name = std::string(info.param.bench) + "_" +
                            info.param.config;
@@ -227,6 +187,17 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+TEST(SkippingIsExact, MatrixCoversEveryNamedConfig)
+{
+    for (const std::string &name : configs::knownNames()) {
+        bool covered = false;
+        for (const ExactCase &c : kExactCases)
+            covered = covered || name == c.config;
+        EXPECT_TRUE(covered) << "config " << name
+                             << " has no exactness case";
+    }
+}
 
 TEST(SkippingIsExactEdge, SmallBlockSizeConfig)
 {
@@ -291,11 +262,87 @@ TEST(SkippingIsExactEdge, MultiCoreSharedDram)
 
 TEST(SkippingIsExactEdge, QuadCoreUnthrottledCdp)
 {
-    // Four cores under unthrottled CDP share one DRAM buffer: a head
-    // it refuses wakes on drains of other cores' requests.
+    // Four cores under unthrottled CDP contend for one DRAM's banks
+    // and bus. The default buffer (32 entries per core) never refuses
+    // a read in this mix; QuadCoreWatchdogWithDramBlockedHeads halves
+    // it to get refusals.
     const MultiCoreResult result = expectExactMix(
         {"mcf", "omnetpp", "health", "mst"}, configs::streamCdp());
     EXPECT_EQ(result.perCore.size(), 4u);
+}
+
+TEST(SkippingIsExactEdge, TripleCoreMix)
+{
+    // n = 3: no pair count that is a power of two.
+    const MultiCoreResult result = expectExactMix(
+        {"parser", "mcf", "h264ref"}, configs::streamCdpThrottled());
+    EXPECT_EQ(result.perCore.size(), 3u);
+}
+
+TEST(SkippingIsExactEdge, OctaCoreMix)
+{
+    const MultiCoreResult result = expectExactMix(
+        {"libquantum", "gemsfdtd", "parser", "perimeter", "h264ref",
+         "art", "bzip2", "mcf"},
+        configs::streamCdpThrottled());
+    EXPECT_EQ(result.perCore.size(), 8u);
+    EXPECT_FALSE(result.timedOut);
+}
+
+TEST(SkippingIsExactEdge, OneCoreWrapsWhileOthersIdle)
+{
+    // libquantum (IPC ~4 alone) finishes its first pass long before
+    // mst, which mostly waits on misses, and wraps around for the rest
+    // of the run: one pair busy on nearly every cycle, one mostly
+    // asleep.
+    const MultiCoreResult result =
+        expectExactMix({"libquantum", "mst"}, configs::baseline());
+    ASSERT_EQ(result.perCore.size(), 2u);
+    EXPECT_LT(result.perCore[0].cycles.raw() * 4,
+              result.perCore[1].cycles.raw());
+}
+
+TEST(SkippingIsExactEdge, QuadCoreWatchdogWithDramBlockedHeads)
+{
+    // Half the usual request buffer makes the shared DRAM refuse
+    // prefetches: at the cutoff two of the four pairs have a head the
+    // buffer refuses on every cycle, and they sleep through the other
+    // pairs' ticks until the watchdog's last cycle. Their skipped
+    // refusals must still be counted before the loop stops.
+    constexpr std::uint64_t kCutoff = 30'015;
+    constexpr std::uint64_t kStretch = 40;
+    SystemConfig cdp = configs::streamCdp();
+    cdp.dram.requestBufferPerCore = 16;
+    const std::vector<std::string> benches{"mcf", "omnetpp", "health",
+                                           "mst"};
+
+    // Precondition, checked by polling: the last kStretch cycles
+    // before the cutoff made two refused reads each. If a model change
+    // breaks it, pick a new kCutoff where it holds.
+    std::vector<Workload> workloads;
+    std::vector<const Workload *> mix;
+    for (const std::string &bench : benches)
+        workloads.push_back(buildWorkload(bench, InputSet::Train));
+    for (const Workload &workload : workloads)
+        mix.push_back(&workload);
+    auto polledRejects = [&](std::uint64_t max_cycles) {
+        SystemConfig cfg = cdp;
+        cfg.cycleSkipping = false;
+        cfg.maxCycles = Cycle{max_cycles};
+        obs::MetricRegistry metrics;
+        simulateMultiCore(cfg, mix, std::vector<double>(4, 1.0),
+                          Observability{&metrics, nullptr});
+        return metrics.value("dram.buffer_rejects");
+    };
+    ASSERT_EQ(polledRejects(kCutoff) - polledRejects(kCutoff - kStretch),
+              2 * kStretch);
+
+    SystemConfig cfg = cdp;
+    cfg.maxCycles = Cycle{kCutoff};
+    const MultiCoreResult result = expectExactMix(benches, cfg);
+    EXPECT_TRUE(result.timedOut);
+    for (const RunStats &stats : result.perCore)
+        EXPECT_EQ(stats.cycles, Cycle{kCutoff}) << stats.workload;
 }
 
 TEST(SchedulerCounters, CountIterationsAndPins)
@@ -331,36 +378,59 @@ TEST(SchedulerCounters, CountIterationsAndPins)
 
 TEST(EventScheduler, AsksThePreviousPinnerFirst)
 {
-    EventScheduler sched(nullptr);
+    EventScheduler sched(nullptr, 2);
     const Cycle now{100};
-    // Bound 2 pins now + 1; the others are later.
-    const Cycle bounds[4] = {Cycle{150}, Cycle{120}, now + 1,
-                             Cycle{130}};
-    std::vector<unsigned> asked;
-    auto bound = [&](unsigned k) -> NextEvent {
-        asked.push_back(k);
-        return {bounds[k], k == 2 ? SchedPin::Core : SchedPin::Fill};
+    std::vector<std::string> asked;
+    auto bound = [&](const char *name, Cycle at, SchedPin pin) {
+        return [&asked, name, at, pin] {
+            asked.push_back(name);
+            return NextEvent{at, pin};
+        };
     };
-    NextEvent wake = sched.earliest(now, 4, bound);
-    EXPECT_EQ(wake.at, now + 1);
-    EXPECT_EQ(wake.pin, SchedPin::Core);
-    EXPECT_EQ(asked, (std::vector<unsigned>{0, 1, 2}));
+    // Every pair is due until its first rewake.
+    EXPECT_TRUE(sched.due(0, Cycle{}));
+    EXPECT_TRUE(sched.due(1, Cycle{}));
 
-    asked.clear();
-    EXPECT_EQ(sched.earliest(now, 4, bound).at, now + 1);
-    EXPECT_EQ(asked, (std::vector<unsigned>{2}));
+    // The core pins now + 1: memory is asked first, then the core.
+    sched.rewake(0, now, bound("memory", Cycle{150}, SchedPin::Fill),
+                 bound("core", now + 1, SchedPin::Core));
+    EXPECT_EQ(asked, (std::vector<std::string>{"memory", "core"}));
+    EXPECT_FALSE(sched.due(0, now));
+    EXPECT_TRUE(sched.due(0, now + 1));
 
-    // With no bound at now + 1 every bound is asked, from the last
-    // pinner round, and the minimum does not depend on that order.
-    const Cycle later[4] = {Cycle{150}, Cycle{120}, Cycle{140},
-                            Cycle{130}};
+    // Next time the core is asked first, and alone.
     asked.clear();
-    wake = sched.earliest(now, 4, [&](unsigned k) -> NextEvent {
-        asked.push_back(k);
-        return {later[k], SchedPin::Fill};
-    });
-    EXPECT_EQ(wake.at, Cycle{120});
-    EXPECT_EQ(asked, (std::vector<unsigned>{2, 3, 0, 1}));
+    sched.rewake(0, now, bound("memory", Cycle{150}, SchedPin::Fill),
+                 bound("core", now + 1, SchedPin::Core));
+    EXPECT_EQ(asked, (std::vector<std::string>{"core"}));
+
+    // With no bound at now + 1 both are asked, the last pinner first,
+    // and the pair wakes at the earlier one.
+    asked.clear();
+    sched.rewake(0, now, bound("memory", Cycle{120}, SchedPin::Fill),
+                 bound("core", Cycle{130}, SchedPin::Core));
+    EXPECT_EQ(asked, (std::vector<std::string>{"core", "memory"}));
+    EXPECT_FALSE(sched.due(0, Cycle{119}));
+    EXPECT_TRUE(sched.due(0, Cycle{120}));
+
+    // The clock takes the earliest cached wake, or the DRAM bound when
+    // it is earlier; DRAM is asked only when no pair is due next.
+    sched.rewake(1, now, bound("memory", Cycle{140}, SchedPin::Fill),
+                 bound("core", Cycle{125}, SchedPin::Core));
+    asked.clear();
+    EXPECT_EQ(sched.next(now, kNoEventCycle,
+                         [&] { return Cycle{110}; }),
+              Cycle{110});
+    EXPECT_EQ(sched.next(now, Cycle{105}, [&] { return Cycle{110}; }),
+              Cycle{105});
+    sched.rewake(1, now, bound("memory", now + 1, SchedPin::Fill),
+                 bound("core", Cycle{125}, SchedPin::Core));
+    EXPECT_EQ(sched.next(now, kNoEventCycle,
+                         [&]() -> Cycle {
+                             ADD_FAILURE() << "DRAM asked";
+                             return now + 1;
+                         }),
+              now + 1);
 }
 
 // ---------------------------------------------------------------

@@ -4,9 +4,10 @@
  * deterministic run per named config (configs::knownNames()) is
  * pinned under tests/golden/ and compared field by field, and so is
  * the JSON of a 2-core and a 4-core mix under two configs. Any
- * behavioural change to the simulator — counter drift, a new accounting site, a changed threshold — shows up as a
- * named-field diff here before it shows up as a mysterious shift in
- * a paper figure.
+ * behavioural change to the simulator — counter drift, a new
+ * accounting site, a changed threshold — shows up as a named-field
+ * diff here before it shows up as a mysterious shift in a paper
+ * figure.
  *
  * Number comparison uses the parser's source text, so even a change
  * below double precision in a 64-bit counter fails loudly.
@@ -27,6 +28,8 @@
 #include "sim/simulator.hh"
 #include "stats/json.hh"
 #include "workloads/workload.hh"
+
+#include "case_config.hh"
 
 #ifndef ECDP_GOLDEN_DIR
 #error "ECDP_GOLDEN_DIR must point at tests/golden"
@@ -326,30 +329,12 @@ spellingOf(const std::string &config)
                              config);
 }
 
-SystemConfig
-differentialConfig(const std::string &config, const HintTable *hints)
-{
-    if (config == "side-buffer") {
-        SystemConfig cfg = configs::streamCdp();
-        cfg.idealNoPollution = true;
-        return cfg;
-    }
-    if (config == "small-blocks") {
-        SystemConfig cfg = configs::baseline();
-        cfg.l1BlockBytes = 64;
-        cfg.l2BlockBytes = 64;
-        return cfg;
-    }
-    return configs::byName(config, hints);
-}
-
 /** The case's config and a copy @p respell rewrote hash equally. */
 template <typename Respell>
 void
 expectSameConfig(const DifferentialCase &c, Respell respell)
 {
-    const HintTable hints;
-    const SystemConfig cfg = differentialConfig(c.config, &hints);
+    const SystemConfig cfg = caseConfig(c.bench, c.config);
     SystemConfig spelled = cfg;
     respell(spelled);
     EXPECT_EQ(configHash(cfg), configHash(spelled));
@@ -365,6 +350,13 @@ differentialName(const ::testing::TestParamInfo<DifferentialCase> &info)
             ch = '_';
     }
     return name;
+}
+
+/** Names the case by value, so test ids do not embed addresses. */
+void
+PrintTo(const DifferentialCase &c, std::ostream *os)
+{
+    *os << c.bench << ":" << c.config;
 }
 
 class EngineStackDifferentialTest

@@ -23,22 +23,21 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <random>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
-#include "compiler/profiling_compiler.hh"
 #include "obs/phase_profiler.hh"
 #include "prefetch/cdp.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "stats/json.hh"
 #include "workloads/workload.hh"
+
+#include "case_config.hh"
 
 namespace ecdp
 {
@@ -249,21 +248,6 @@ TEST(PhaseConservation, BreakdownAccountsForSimulationWall)
 // Stats identity with the profiler attached.
 // ---------------------------------------------------------------
 
-const HintTable &
-trainHints(const std::string &bench)
-{
-    static std::map<std::string, HintTable> cache;
-    auto it = cache.find(bench);
-    if (it == cache.end()) {
-        it = cache
-                 .emplace(bench,
-                          ProfilingCompiler::profile(
-                              buildWorkload(bench, InputSet::Train)))
-                 .first;
-    }
-    return it->second;
-}
-
 std::string
 statsJson(const RunStats &stats)
 {
@@ -299,43 +283,22 @@ struct ProfiledCase
     const char *config;
 };
 
+/** Names the case by value, so test ids do not embed addresses. */
+void
+PrintTo(const ProfiledCase &c, std::ostream *os)
+{
+    *os << c.bench << ":" << c.config;
+}
+
 class ProfilerIsPureObservation
     : public ::testing::TestWithParam<ProfiledCase>
 {
 };
 
-SystemConfig
-profiledCaseConfig(const ProfiledCase &c)
-{
-    const std::string config = c.config;
-    if (config == "noprefetch")
-        return configs::noPrefetch();
-    if (config == "baseline")
-        return configs::baseline();
-    if (config == "cdp+throttle")
-        return configs::streamCdpThrottled();
-    if (config == "full")
-        return configs::fullProposal(&trainHints(c.bench));
-    if (config == "ecdp+fdp")
-        return configs::streamEcdpFdp(&trainHints(c.bench));
-    if (config == "cdp+pab")
-        return configs::streamCdpPab();
-    if (config == "dbp")
-        return configs::streamDbp();
-    if (config == "markov")
-        return configs::streamMarkov();
-    if (config == "side-buffer") {
-        SystemConfig cfg = configs::streamCdp();
-        cfg.idealNoPollution = true;
-        return cfg;
-    }
-    throw std::runtime_error("unknown hotpath config " + config);
-}
-
 TEST_P(ProfilerIsPureObservation, StatsJsonIsByteIdentical)
 {
     const ProfiledCase &c = GetParam();
-    expectProfiledIdentical(c.bench, profiledCaseConfig(c));
+    expectProfiledIdentical(c.bench, caseConfig(c.bench, c.config));
 }
 
 INSTANTIATE_TEST_SUITE_P(
