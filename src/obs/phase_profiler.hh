@@ -44,7 +44,7 @@ class PhaseProfiler
         CdpScan,
         /** DRAM model: read / writeback acceptance. */
         Dram,
-        /** nextEventCycle bounds in the event-driven loop. */
+        /** The event-driven loop itself: wake bounds, bookkeeping. */
         Scheduler,
         /** End-of-run stats collection and serialization. */
         Stats,

@@ -102,33 +102,36 @@ class System
         const bool skipping = cfg_.cycleSkipping;
         const Cycle limit = cfg_.maxCycles;
         obs::PhaseProfiler *const prof = prof_;
+        // Phases switch directly, three clock reads an iteration; the
+        // loop's bookkeeping is Scheduler time.
+        obs::PhaseProfiler::Scoped scope(prof, Phase::Scheduler);
+        const auto enter = [prof](Phase phase) {
+            if (prof)
+                prof->switchTo(phase);
+        };
         unsigned running = n;
         Cycle cycle{};
         while (running > 0 && cycle < limit) {
             unsigned ticked = 0;
-            {
-                obs::PhaseProfiler::Scoped scope(prof, Phase::MemTick);
-                for (unsigned i = 0; i < n; ++i) {
-                    if (sched_.due(i, cycle))
-                        memories_[i]->tick(cycle);
-                }
+            enter(Phase::MemTick);
+            for (unsigned i = 0; i < n; ++i) {
+                if (sched_.due(i, cycle))
+                    memories_[i]->tick(cycle);
             }
-            {
-                obs::PhaseProfiler::Scoped scope(prof, Phase::CoreTick);
-                for (unsigned i = 0; i < n; ++i) {
-                    if (!sched_.due(i, cycle))
-                        continue;
-                    Core &core = *cores_[i];
-                    const bool was_done = core.finishedOnce();
-                    core.tick(cycle);
-                    running -= !was_done && core.finishedOnce();
-                    ++ticked;
-                }
+            enter(Phase::CoreTick);
+            for (unsigned i = 0; i < n; ++i) {
+                if (!sched_.due(i, cycle))
+                    continue;
+                Core &core = *cores_[i];
+                const bool was_done = core.finishedOnce();
+                core.tick(cycle);
+                running -= !was_done && core.finishedOnce();
+                ++ticked;
             }
+            enter(Phase::Scheduler);
             sched_.iteration(ticked);
             Cycle next = cycle + 1;
             if (skipping && running > 0) {
-                obs::PhaseProfiler::Scoped scope(prof, Phase::Scheduler);
                 for (unsigned i = 0; i < n; ++i) {
                     if (!sched_.due(i, cycle))
                         continue;

@@ -100,8 +100,9 @@ TEST(Dram, LaterRequestsNeverDrainFirst)
             EXPECT_GT(done, last) << "request " << i;
             last = done;
         }
-        if (drain != kNoEventCycle)
+        if (drain != kNoEventCycle) {
             EXPECT_EQ(dram.nextEventCycle(now), drain) << "request " << i;
+        }
     }
 }
 
